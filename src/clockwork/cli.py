@@ -11,7 +11,8 @@ Machine-readable JSON goes to stdout (one object per line); trace
 configuration lines are the one plain-text exception.  Human-facing
 messages go to stderr.  Exit codes: 0 for success / all properties
 passing, 2 for timeout, not-found, step-limit, or failing properties,
-1 for parse and usage errors.
+1 for parse and usage errors, and for inputs too deep or too large to
+process (reported in one line, never as a traceback).
 """
 
 from __future__ import annotations
@@ -269,6 +270,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handler(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    except (RecursionError, MemoryError) as e:
+        print(f"clockwork: {args.command}: input too deep or too large ({type(e).__name__})", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

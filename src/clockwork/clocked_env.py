@@ -11,21 +11,20 @@ Two disciplines for spending the clock:
 A run that exhausts its clock returns None; a completed run returns the
 final store.  Both functions use an explicit continuation stack rather
 than native recursion, so clocks in the millions cannot overflow the
-interpreter stack.
+interpreter stack.  Each run updates a private copy of the argument
+store's bindings in place (zeros popped, so it stays normalized) and
+wraps it into a Store only on return.  On a true While guard the loop
+node itself is pushed as the continuation of its body, which is what the
+unfold ``Seq(body, While(...))`` would push, without allocating it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .imp import Com, Seq, Set, Skip, If, While, Store, aval, bval, size
+from .imp import Com, Seq, Set, Skip, If, While, Store, _check_fuel, aval, bval, size
 
 EnvResult = Optional[Store]
-
-
-def _check_fuel(t: int) -> None:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ValueError(f"fuel must be a non-negative integer, got {t!r}")
 
 
 def ev(c: Com, s: Store, t: int) -> EnvResult:
@@ -36,9 +35,12 @@ def ev(c: Com, s: Store, t: int) -> EnvResult:
     both parts with the decremented clock; If runs the chosen branch
     with the decremented clock; While with a true guard runs the unfold
     ``Seq(body, While(...))`` with the decremented clock, and with a
-    false guard yields the store.
+    false guard yields the store.  The unfold is not built: its Seq
+    step is charged in place (a second clock-0 check and tick) before
+    the body runs with the While as its continuation.
     """
     _check_fuel(t)
+    m = dict(s._m)
     stack: list[tuple[Com, int]] = [(c, t)]
     push = stack.append
     pop = stack.pop
@@ -51,7 +53,11 @@ def ev(c: Com, s: Store, t: int) -> EnvResult:
             if cls is Skip:
                 break
             if cls is Set:
-                s = s.set(c.var, aval(c.expr, s))
+                v = aval(c.expr, m)
+                if v:
+                    m[c.var] = v
+                else:
+                    m.pop(c.var, None)
                 break
             t -= 1
             if cls is Seq:
@@ -59,15 +65,19 @@ def ev(c: Com, s: Store, t: int) -> EnvResult:
                 c = c.first
                 continue
             if cls is If:
-                c = c.then_branch if bval(c.guard, s) else c.else_branch
+                c = c.then_branch if bval(c.guard, m) else c.else_branch
                 continue
             if cls is While:
-                if bval(c.guard, s):
-                    c = Seq(c.body, c)
+                if bval(c.guard, m):
+                    if t == 0:  # the unfold's Seq step
+                        return None
+                    t -= 1
+                    push((c, t))
+                    c = c.body
                     continue
                 break
             raise TypeError(f"not a command: {c!r}")
-    return s
+    return Store._wrap(m)
 
 
 def ev_min(c: Com, s: Store, t: int) -> EnvResult:
@@ -79,6 +89,7 @@ def ev_min(c: Com, s: Store, t: int) -> EnvResult:
     false guard yields the store.
     """
     _check_fuel(t)
+    m = dict(s._m)
     stack: list[tuple[Com, int]] = [(c, t)]
     push = stack.append
     pop = stack.pop
@@ -89,25 +100,30 @@ def ev_min(c: Com, s: Store, t: int) -> EnvResult:
             if cls is Skip:
                 break
             if cls is Set:
-                s = s.set(c.var, aval(c.expr, s))
+                v = aval(c.expr, m)
+                if v:
+                    m[c.var] = v
+                else:
+                    m.pop(c.var, None)
                 break
             if cls is Seq:
                 push((c.second, t))
                 c = c.first
                 continue
             if cls is If:
-                c = c.then_branch if bval(c.guard, s) else c.else_branch
+                c = c.then_branch if bval(c.guard, m) else c.else_branch
                 continue
             if cls is While:
-                if bval(c.guard, s):
+                if bval(c.guard, m):
                     if t == 0:
                         return None
                     t -= 1
-                    c = Seq(c.body, c)
+                    push((c, t))
+                    c = c.body
                     continue
                 break
             raise TypeError(f"not a command: {c!r}")
-    return s
+    return Store._wrap(m)
 
 
 class TerminationMeasureError(AssertionError):

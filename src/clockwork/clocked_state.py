@@ -14,23 +14,25 @@ than the depth of evaluation.  Three variants:
 
 All variants return None on timeout and use explicit continuation
 stacks, so multi-million clocks cannot overflow the interpreter stack.
+A continuation is the second part of a Seq together with the clock the
+Seq was entered with, which the clamp needs.  Each run updates a private
+copy of the argument store's bindings in place (zeros popped, so it
+stays normalized) and wraps it into a Store only on return.  On a true
+While guard the loop node itself is pushed as the continuation of its
+body, which is what the unfold ``Seq(body, While(...))`` would push,
+without allocating it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .imp import Com, If, Seq, Set, Skip, Store, While, aval, bval
+from .imp import Com, If, Seq, Set, Skip, Store, While, _check_fuel, aval, bval
 
 StateResult = Optional[tuple[Store, int]]
 
 _EVAL = 0
 _SEQK = 1
-
-
-def _check_fuel(t: int) -> None:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ValueError(f"fuel must be a non-negative integer, got {t!r}")
 
 
 def fix_clock(t: int, r: StateResult) -> StateResult:
@@ -53,42 +55,45 @@ def cval(c: Com, s: Store, t: int) -> StateResult:
     the decremented clock; a false guard returns (store, clock).
     """
     _check_fuel(t)
-    stack: list[tuple[int, object, object]] = [(_EVAL, c, None)]
+    m = dict(s._m)
+    stack: list[tuple[int, Com]] = []
     push = stack.append
     pop = stack.pop
-    while stack:
-        tag, a, b = pop()
-        if tag == _SEQK:
-            # A timeout would already have returned, and fix_clock maps
-            # timeouts to timeouts, so clamping only the success path is exact.
-            s, t = fix_clock(a, (s, t))
-            c = b
-        else:
-            c = a
+    while True:
         while True:
             cls = type(c)
             if cls is Skip:
                 break
             if cls is Set:
-                s = s.set(c.var, aval(c.expr, s))
+                v = aval(c.expr, m)
+                if v:
+                    m[c.var] = v
+                else:
+                    m.pop(c.var, None)
                 break
             if cls is Seq:
-                push((_SEQK, t, c.second))
+                push((t, c.second))
                 c = c.first
                 continue
             if cls is If:
-                c = c.then_branch if bval(c.guard, s) else c.else_branch
+                c = c.then_branch if bval(c.guard, m) else c.else_branch
                 continue
             if cls is While:
-                if bval(c.guard, s):
+                if bval(c.guard, m):
                     if t == 0:
                         return None
                     t -= 1
-                    c = Seq(c.body, c)
+                    push((t, c))
+                    c = c.body
                     continue
                 break
             raise TypeError(f"not a command: {c!r}")
-    return (s, t)
+        if not stack:
+            return (Store._wrap(m), t)
+        t_in, c = pop()
+        # A timeout would already have returned, and fix_clock maps
+        # timeouts to timeouts, so clamping only the success path is exact.
+        m, t = fix_clock(t_in, (m, t))
 
 
 def cval_guard(c: Com, s: Store, t: int) -> StateResult:
@@ -98,41 +103,44 @@ def cval_guard(c: Com, s: Store, t: int) -> StateResult:
     is the first part's leftover, instead of clamping the produced result.
     """
     _check_fuel(t)
-    stack: list[tuple[int, object, object]] = [(_EVAL, c, None)]
+    m = dict(s._m)
+    stack: list[tuple[int, Com]] = []
     push = stack.append
     pop = stack.pop
-    while stack:
-        tag, a, b = pop()
-        if tag == _SEQK:
-            if a < t:  # redundant safety check: leftover exceeded the input
-                t = a
-            c = b
-        else:
-            c = a
+    while True:
         while True:
             cls = type(c)
             if cls is Skip:
                 break
             if cls is Set:
-                s = s.set(c.var, aval(c.expr, s))
+                v = aval(c.expr, m)
+                if v:
+                    m[c.var] = v
+                else:
+                    m.pop(c.var, None)
                 break
             if cls is Seq:
-                push((_SEQK, t, c.second))
+                push((t, c.second))
                 c = c.first
                 continue
             if cls is If:
-                c = c.then_branch if bval(c.guard, s) else c.else_branch
+                c = c.then_branch if bval(c.guard, m) else c.else_branch
                 continue
             if cls is While:
-                if bval(c.guard, s):
+                if bval(c.guard, m):
                     if t == 0:
                         return None
                     t -= 1
-                    c = Seq(c.body, c)
+                    push((t, c))
+                    c = c.body
                     continue
                 break
             raise TypeError(f"not a command: {c!r}")
-    return (s, t)
+        if not stack:
+            return (Store._wrap(m), t)
+        t_in, c = pop()
+        if t_in < t:  # redundant safety check: leftover exceeded the input
+            t = t_in
 
 
 def cval_tick(c: Com, s: Store, t: int) -> StateResult:
@@ -142,19 +150,16 @@ def cval_tick(c: Com, s: Store, t: int) -> StateResult:
     successful run's consumed clock equals the number of evaluation steps
     taken and the leftover is strictly below the input.  Otherwise the
     clauses mirror ``cval``: Seq threads (and clamps) the clock, If picks
-    a branch, While with a true guard runs the unfold.
+    a branch, While with a true guard runs the unfold.  The unfold is not
+    built: its Seq step is charged in place (a second clock-0 check and
+    tick) before the body runs with the While as its continuation.
     """
     _check_fuel(t)
-    stack: list[tuple[int, object, object]] = [(_EVAL, c, None)]
+    m = dict(s._m)
+    stack: list[tuple[int, Com]] = []
     push = stack.append
     pop = stack.pop
-    while stack:
-        tag, a, b = pop()
-        if tag == _SEQK:
-            s, t = fix_clock(a, (s, t))
-            c = b
-        else:
-            c = a
+    while True:
         while True:
             if t == 0:
                 return None
@@ -163,22 +168,33 @@ def cval_tick(c: Com, s: Store, t: int) -> StateResult:
             if cls is Skip:
                 break
             if cls is Set:
-                s = s.set(c.var, aval(c.expr, s))
+                v = aval(c.expr, m)
+                if v:
+                    m[c.var] = v
+                else:
+                    m.pop(c.var, None)
                 break
             if cls is Seq:
-                push((_SEQK, t, c.second))
+                push((t, c.second))
                 c = c.first
                 continue
             if cls is If:
-                c = c.then_branch if bval(c.guard, s) else c.else_branch
+                c = c.then_branch if bval(c.guard, m) else c.else_branch
                 continue
             if cls is While:
-                if bval(c.guard, s):
-                    c = Seq(c.body, c)
+                if bval(c.guard, m):
+                    if t == 0:  # the unfold's Seq step
+                        return None
+                    t -= 1
+                    push((t, c))
+                    c = c.body
                     continue
                 break
             raise TypeError(f"not a command: {c!r}")
-    return (s, t)
+        if not stack:
+            return (Store._wrap(m), t)
+        t_in, c = pop()
+        m, t = fix_clock(t_in, (m, t))
 
 
 def cval_unfolds(c: Com, s: Store, t: int) -> tuple[StateResult, int]:

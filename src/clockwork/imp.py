@@ -156,8 +156,8 @@ class Store:
         obj._m = m
         return obj
 
-    def get(self, name: str) -> int:
-        return self._m.get(name, 0)
+    def get(self, name: str, default: int = 0) -> int:
+        return self._m.get(name, default)
 
     def set(self, name: str, value: int) -> "Store":
         """Functional update; the receiver is unchanged."""
@@ -191,24 +191,33 @@ class Store:
         return f"Store({self._m!r})"
 
 
+def _check_fuel(t: int) -> None:
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise ValueError(f"fuel must be a non-negative integer, got {t!r}")
+
+
 # --------------------------------------------------------------------------
 # Expression evaluation
 
 
-def aval(a: Aexp, s: Store) -> int:
-    """Value of an arithmetic expression in store `s`. Total."""
+def aval(a: Aexp, s: Store | dict[str, int]) -> int:
+    """Value of an arithmetic expression in store `s`. Total.
+
+    `s` may also be a plain dict of nonzero bindings, which is what the
+    clocked evaluators pass while they run.
+    """
     cls = type(a)
     if cls is N:
         return a.value
     if cls is V:
-        return s.get(a.name)
+        return s.get(a.name, 0)
     if cls is Plus:
         return aval(a.left, s) + aval(a.right, s)
     raise TypeError(f"not an arithmetic expression: {a!r}")
 
 
-def bval(b: Bexp, s: Store) -> bool:
-    """Value of a boolean expression in store `s`. Total."""
+def bval(b: Bexp, s: Store | dict[str, int]) -> bool:
+    """Value of a boolean expression in store `s` (see `aval`). Total."""
     cls = type(b)
     if cls is Bc:
         return b.value

@@ -1,4 +1,4 @@
-"""End-to-end CLI tests, run through subprocesses."""
+"""End-to-end CLI tests, run through subprocesses (in-process where a handler is patched)."""
 
 import json
 import os
@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from clockwork import cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -113,6 +115,19 @@ def test_run_usage_errors_exit_1():
     assert p.returncode == 1
     p = run_cli("run", LOOP, "--sem", "cval", "--fuel", "1", "--init", "x=oops")
     assert p.returncode == 1
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_resource_exhaustion_is_one_stderr_line_exit_1(monkeypatch, capsys, exc):
+    def handler(args):
+        raise exc("raised by the handler")
+
+    monkeypatch.setattr(cli, "cmd_parse", handler)
+    assert cli.main(["parse", SKIP]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert exc.__name__ in err and "Traceback" not in err
 
 
 def test_trace_skip_program():

@@ -5,7 +5,7 @@ import pytest
 from clockwork.clocked_state import cval, cval_guard, cval_tick, cval_unfolds, fix_clock
 from clockwork.imp import Bc, If, Less, N, Plus, Seq, Set, Skip, Store, V, While, bval
 from clockwork.parser import parse_com
-from clockwork.testkit import GenConfig, case_stream
+from clockwork.testkit import SEMANTICS, GenConfig, case_stream
 from clockwork.testkit import _gen_com, _gen_fuel, _gen_store  # test-scale generators
 
 S0 = Store()
@@ -184,3 +184,65 @@ def test_fix_clock_in_live_path_is_identity():
     for c, s, t in _cases(200, seed=47):
         r = cval(c, s, t)
         assert fix_clock(t, r) == r
+
+
+# --- all five evaluators ---
+
+
+def _final_store(r):
+    return r if isinstance(r, Store) else r[0]
+
+
+def test_deep_seq_chains_run_on_the_explicit_stack():
+    # Built directly: far deeper than native recursion could evaluate.
+    n = 20_000
+    left = right = BODY
+    for _ in range(n - 1):
+        left = Seq(left, BODY)
+        right = Seq(BODY, right)
+    loop = While(Less(V("x"), N(2 * n)), right)
+    for name, fn in SEMANTICS.items():
+        for c, want in ((left, n), (right, n), (loop, 2 * n)):
+            r = fn(c, S0, 10**6)
+            assert r is not None, name
+            assert _final_store(r) == Store({"x": want}), name
+
+
+def test_counting_loop_minimal_fuel_and_leftover():
+    minimal = {
+        "ev": lambda n: 2 * n + 2,
+        "ev_min": lambda n: n,
+        "cval": lambda n: n,
+        "cval_guard": lambda n: n,
+        "cval_tick": lambda n: 3 * n + 3,
+    }
+    for n in (0, 1, 2, 10, 100):
+        prog = Seq(Set("x", N(0)), While(Less(V("x"), N(n)), BODY))
+        want = Store({"x": n})
+        for name, fn in SEMANTICS.items():
+            least = minimal[name](n)
+            if least > 0:
+                assert fn(prog, S0, least - 1) is None, (name, n)
+            for fuel in (least, least + 1, least + 7):
+                r = fn(prog, S0, fuel)
+                assert r is not None and _final_store(r) == want, (name, n, fuel)
+                if name in ("cval", "cval_guard"):
+                    assert r[1] == fuel - n
+                elif name == "cval_tick":
+                    assert r[1] == fuel - (3 * n + 3)
+
+
+def test_argument_store_is_never_mutated():
+    prog = parse_com("y := 0 ; z := x + 4 ; x := 0 ; WHILE x < 3 DO x := x + 1 OD")
+    for name, fn in SEMANTICS.items():
+        s = Store({"x": 3, "y": -1})
+        outcomes = {fn(prog, s, t) is None for t in range(20)}
+        assert outcomes == {True, False}, name  # both timeouts and successes ran
+        assert s.to_dict() == {"x": 3, "y": -1}, name
+
+
+def test_assigning_zero_leaves_a_normalized_store():
+    for name, fn in SEMANTICS.items():
+        r = _final_store(fn(Set("x", N(0)), Store({"x": 3}), 1))
+        assert r == Store() and hash(r) == hash(Store()), name
+        assert r.to_dict() == {}, name
