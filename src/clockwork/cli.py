@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .imp import Com, Store, pretty
 from .parser import ParseError, parse_com
-from .smallstep import Terminated, iter_trace, run_oracle
+from .smallstep import Terminated, TraceRenderer, iter_trace, run_oracle
 from .testkit import (
     ENV_SEMANTICS,
     PROPERTY_IDS,
@@ -210,8 +210,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     count = -1
     last = None
+    render = TraceRenderer().render
     for cfg in iter_trace(com, store, args.cap):
-        print(cfg.render())
+        print(render(cfg))
         count += 1
         last = cfg
     if last is not None and last.is_terminal():

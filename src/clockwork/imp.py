@@ -294,6 +294,14 @@ def _bexp_conj(b: Bexp) -> str:
     return f"({pretty_bexp(b)})"
 
 
+def seq_brackets(first: Com) -> tuple[str, str]:
+    """The text around `first` as the left operand of ';'.
+
+    ';' associates to the right, so a Seq on the left needs parens.
+    """
+    return ("(", ")") if type(first) is Seq else ("", "")
+
+
 def pretty(c: Com) -> str:
     """Concrete syntax for a command; `parse_com(pretty(c)) == c`."""
     cls = type(c)
@@ -302,9 +310,14 @@ def pretty(c: Com) -> str:
     if cls is Set:
         return f"{c.var} := {pretty_aexp(c.expr)}"
     if cls is Seq:
-        # ';' associates to the right; a Seq on the left needs parens.
-        left = f"({pretty(c.first)})" if type(c.first) is Seq else pretty(c.first)
-        return f"{left} ; {pretty(c.second)}"
+        # Iterate down the right spine, so a long ';' chain needs no recursion.
+        parts = []
+        while type(c) is Seq:
+            opening, closing = seq_brackets(c.first)
+            parts.append(f"{opening}{pretty(c.first)}{closing}")
+            c = c.second
+        parts.append(pretty(c))
+        return " ; ".join(parts)
     if cls is If:
         return (
             f"IF {pretty_bexp(c.guard)} THEN {pretty(c.then_branch)}"

@@ -17,9 +17,10 @@ Grammar (';' and '&&' associate to the right, '+' to the left):
 
 Keywords (reserved, may not be identifiers): SKIP IF THEN ELSE FI WHILE
 DO OD true false.  Identifiers match [a-zA-Z][a-zA-Z0-9_]*.  Integer
-literals are an optional '-' immediately followed by digits.  Line
-comments run from '--' to end of line.  Whitespace between tokens is
-insignificant.
+literals are an optional '-' immediately followed by digits [0-9].  Line
+comments run from '--' to end of line.  Whitespace (space, tab, '\\r',
+'\\n') between tokens is insignificant.  Any other character, a non-ASCII
+letter or digit included, is a lexical error.
 
 A '(' at the start of a bconj is ambiguous: it may open a parenthesized
 boolean or the left operand of a comparison.  The parser first attempts
@@ -29,13 +30,24 @@ attempt progressed further when both fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import re
 
 from .imp import Aexp, And, Bc, Bexp, Com, If, Less, N, Not, Plus, Seq, Set, Skip, V, While
 
 KEYWORDS = frozenset({"SKIP", "IF", "THEN", "ELSE", "FI", "WHILE", "DO", "OD", "true", "false"})
 
-_SYMBOLS = (":=", "&&", ";", "+", "<", "!", "(", ")")
+# One match per token: whitespace and comments, then the token's text in
+# group 1.  At a character that starts no token, group 2 takes the rest of
+# the input, which ends the scan; at the end of the input both groups are
+# empty.  The three alternatives cannot all fail, so a match never
+# backtracks into the whitespace, and each match starts where the previous
+# one ended: findall skips no character.  The classes are ASCII-only.
+_LEX = re.compile(
+    r"(?:[ \t\r\n]+|--[^\n]*)*"
+    r"(?:([A-Za-z][A-Za-z0-9_]*|-?[0-9]+|:=|&&|[;+<!()])|([\s\S]+)|\Z)"
+)
+_INT_START = frozenset("-0123456789")
 
 
 class ParseError(Exception):
@@ -53,123 +65,99 @@ class ParseError(Exception):
         return (self.line, self.col)
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "ident", "int", "kw", "sym", "eof"
-    text: str
-    line: int
-    col: int
+def _error_at(text: str, offset: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """A ParseError at character `offset` of `text`; tabs and '\\r' are one column."""
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    return ParseError(line, col, message, expected)
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("sym", sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", line, col))
+def _lex(text: str) -> list[tuple[str, str]]:
+    """The (text, "") token tuples of `text`, ending with ("", "") for end of input.
+
+    Raises ParseError at the first character that starts no token.
+    """
+    tokens = _LEX.findall(text)
+    if len(tokens) > 1 and tokens[-2][1]:
+        rest = tokens[-2][1]
+        raise _error_at(text, len(text) - len(rest), f"unexpected character {rest[0]!r}")
     return tokens
 
 
+def _token_offset(text: str, index: int) -> int:
+    """Character offset of token `index` of `_lex(text)`, found by scanning again."""
+    m = next(itertools.islice(_LEX.finditer(text), index, None))
+    return m.start(1) if m.group(1) else m.end()
+
+
+class _Fail(Exception):
+    """A syntax error at token `index`; `_parse` turns it into a ParseError.
+
+    The backtracking in `bconj` raises and catches these, so they carry no
+    source position: finding one costs a scan of the input.
+    """
+
+    def __init__(self, index: int, message: str, expected: tuple[str, ...]):
+        super().__init__(message)
+        self.index = index
+        self.message = message
+        self.expected = expected
+
+
+def _is_ident(tok: str) -> bool:
+    return tok[:1].isalpha() and tok not in KEYWORDS
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the token texts."""
+
+    def __init__(self, text: str):
+        self.tokens = _lex(text)
         self.pos = 0
 
     @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def cur(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def _error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        tok = self.cur
-        return ParseError(tok.line, tok.col, message, expected)
+    def _error(self, message: str, expected: tuple[str, ...] = ()) -> _Fail:
+        return _Fail(self.pos, message, expected)
 
-    def at_sym(self, sym: str) -> bool:
-        return self.cur.kind == "sym" and self.cur.text == sym
-
-    def at_kw(self, kw: str) -> bool:
-        return self.cur.kind == "kw" and self.cur.text == kw
-
-    def take(self) -> _Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
+    def at(self, text: str) -> bool:
+        """Whether the current token is the symbol or keyword `text`."""
+        return self.tokens[self.pos][0] == text
 
     def expect_sym(self, sym: str) -> None:
-        if not self.at_sym(sym):
+        if not self.at(sym):
             raise self._error(f"expected {sym!r}", (f"'{sym}'",))
         self.pos += 1
 
     def expect_kw(self, kw: str) -> None:
-        if not self.at_kw(kw):
+        if not self.at(kw):
             raise self._error(f"expected keyword {kw}", (kw,))
         self.pos += 1
 
     def expect_eof(self) -> None:
-        if self.cur.kind != "eof":
-            raise self._error(f"unexpected input after complete phrase: {self.cur.text!r}", ("end of input",))
+        if self.cur:
+            raise self._error(f"unexpected input after complete phrase: {self.cur!r}", ("end of input",))
 
     # --- arithmetic expressions ---
 
     def aexp(self) -> Aexp:
         node = self.term()
-        while self.at_sym("+"):
+        while self.at("+"):
             self.pos += 1
             node = Plus(node, self.term())
         return node
 
     def term(self) -> Aexp:
         tok = self.cur
-        if tok.kind == "int":
+        if tok[:1] in _INT_START:
             self.pos += 1
-            return N(int(tok.text))
-        if tok.kind == "ident":
+            return N(int(tok))
+        if _is_ident(tok):
             self.pos += 1
-            return V(tok.text)
-        if self.at_sym("("):
+            return V(tok)
+        if tok == "(":
             self.pos += 1
             node = self.aexp()
             self.expect_sym(")")
@@ -183,28 +171,29 @@ class _Parser:
 
     def bexp(self) -> Bexp:
         node = self.bconj()
-        if self.at_sym("&&"):
+        if self.at("&&"):
             self.pos += 1
             return And(node, self.bexp())
         return node
 
     def bconj(self) -> Bexp:
-        if self.at_sym("!"):
+        tok = self.cur
+        if tok == "!":
             self.pos += 1
             return Not(self.bconj())
-        if self.at_kw("true"):
+        if tok == "true":
             self.pos += 1
             return Bc(True)
-        if self.at_kw("false"):
+        if tok == "false":
             self.pos += 1
             return Bc(False)
-        if self.at_sym("("):
+        if tok == "(":
             # Ambiguous: comparison whose left side is parenthesized, or a
             # parenthesized boolean.  Try the comparison first.
             save = self.pos
             try:
                 return self._comparison()
-            except ParseError as cmp_err:
+            except _Fail as cmp_err:
                 cmp_pos = self.pos
                 self.pos = save
                 try:
@@ -212,7 +201,7 @@ class _Parser:
                     node = self.bexp()
                     self.expect_sym(")")
                     return node
-                except ParseError as par_err:
+                except _Fail as par_err:
                     if self.pos >= cmp_pos:
                         raise par_err
                     self.pos = cmp_pos
@@ -220,7 +209,8 @@ class _Parser:
         return self._comparison()
 
     def _comparison(self) -> Bexp:
-        if self.cur.kind not in ("int", "ident") and not self.at_sym("("):
+        tok = self.cur
+        if not (tok[:1] in _INT_START or _is_ident(tok) or tok == "("):
             raise self._error(
                 "expected boolean expression",
                 ("'!'", "true", "false", "comparison", "'('"),
@@ -232,22 +222,27 @@ class _Parser:
     # --- commands ---
 
     def com(self) -> Com:
-        node = self.atom()
-        if self.at_sym(";"):
+        # seq ::= atom (";" seq)?, read as a loop and folded from the right,
+        # so a long chain of ';' needs no recursion.
+        atoms = [self.atom()]
+        while self.at(";"):
             self.pos += 1
-            return Seq(node, self.com())
+            atoms.append(self.atom())
+        node = atoms.pop()
+        while atoms:
+            node = Seq(atoms.pop(), node)
         return node
 
     def atom(self) -> Com:
         tok = self.cur
-        if self.at_kw("SKIP"):
+        if tok == "SKIP":
             self.pos += 1
             return Skip()
-        if tok.kind == "ident":
+        if _is_ident(tok):
             self.pos += 1
             self.expect_sym(":=")
-            return Set(tok.text, self.aexp())
-        if self.at_kw("IF"):
+            return Set(tok, self.aexp())
+        if tok == "IF":
             self.pos += 1
             guard = self.bexp()
             self.expect_kw("THEN")
@@ -256,14 +251,14 @@ class _Parser:
             else_branch = self.com()
             self.expect_kw("FI")
             return If(guard, then_branch, else_branch)
-        if self.at_kw("WHILE"):
+        if tok == "WHILE":
             self.pos += 1
             guard = self.bexp()
             self.expect_kw("DO")
             body = self.com()
             self.expect_kw("OD")
             return While(guard, body)
-        if self.at_sym("("):
+        if tok == "(":
             self.pos += 1
             node = self.com()
             self.expect_sym(")")
@@ -274,25 +269,26 @@ class _Parser:
         )
 
 
+def _parse(text: str, rule):
+    p = _Parser(text)
+    try:
+        node = rule(p)
+        p.expect_eof()
+    except _Fail as e:
+        raise _error_at(text, _token_offset(text, e.index), e.message, e.expected) from None
+    return node
+
+
 def parse_com(text: str) -> Com:
     """Parse a complete command; raises ParseError on any violation."""
-    p = _Parser(_lex(text))
-    node = p.com()
-    p.expect_eof()
-    return node
+    return _parse(text, _Parser.com)
 
 
 def parse_aexp(text: str) -> Aexp:
     """Parse a complete arithmetic expression."""
-    p = _Parser(_lex(text))
-    node = p.aexp()
-    p.expect_eof()
-    return node
+    return _parse(text, _Parser.aexp)
 
 
 def parse_bexp(text: str) -> Bexp:
     """Parse a complete boolean expression."""
-    p = _Parser(_lex(text))
-    node = p.bexp()
-    p.expect_eof()
-    return node
+    return _parse(text, _Parser.bexp)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .imp import Com, If, Seq, Set, Skip, Store, While, aval, bval, pretty
+from .imp import Com, If, Seq, Set, Skip, Store, While, aval, bval, pretty, seq_brackets
 
 _SKIP = Skip()
 
@@ -36,6 +36,45 @@ class Config:
 
     def render(self) -> str:
         return f"⟨{pretty(self.com)}, {self.store.pretty()}⟩"
+
+
+class TraceRenderer:
+    """Renders the configurations of one trace, in order, as `Config.render` does.
+
+    A step rebuilds only the left Seq spine down to the redex and keeps
+    every right sibling on it as the same object.  So each line
+    pretty-prints only the redex and the siblings that are new, and takes
+    the text of the others from the previous line.  After each line only
+    the current spine's siblings stay in the memo; they are disjoint
+    subtrees, so it holds at most about one program's text.
+    """
+
+    def __init__(self) -> None:
+        # id(sibling) -> (sibling, text).  The entry holds the node, so its
+        # id cannot be reused by a new node while the entry lives.
+        self._memo: dict[int, tuple[Com, str]] = {}
+
+    def render(self, cfg: Config) -> str:
+        memo, kept = self._memo, {}
+        openings: list[str] = []
+        tail: list[tuple[str, str]] = []  # per spine node: closing bracket, sibling text
+        c = cfg.com
+        while type(c) is Seq:
+            sibling = c.second
+            entry = memo.get(id(sibling))
+            if entry is None:
+                entry = (sibling, pretty(sibling))
+            kept[id(sibling)] = entry
+            opening, closing = seq_brackets(c.first)
+            openings.append(opening)
+            tail.append((closing, entry[1]))
+            c = c.first
+        self._memo = kept
+        parts = ["⟨", *openings, pretty(c)]
+        for closing, text in reversed(tail):
+            parts += (closing, " ; ", text)
+        parts += (", ", cfg.store.pretty(), "⟩")
+        return "".join(parts)
 
 
 @dataclass(frozen=True, slots=True)

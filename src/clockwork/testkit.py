@@ -823,11 +823,6 @@ def replay_case(property_id: str, cfg: GenConfig, case_index: int) -> tuple[dict
     return _render_inputs(inputs), verdict
 
 
-def default_config(seed: int) -> GenConfig:
-    """The stock campaign configuration at the given seed."""
-    return GenConfig(seed=seed)
-
-
 __all__ = [
     "ENV_SEMANTICS",
     "Failure",
@@ -840,7 +835,6 @@ __all__ = [
     "SplitMix64",
     "TIMEOUT_FUEL_CEILING",
     "case_stream",
-    "default_config",
     "fuel_search",
     "gen_com",
     "gen_store",

@@ -1,4 +1,5 @@
-"""End-to-end CLI tests, run through subprocesses (in-process where a handler is patched)."""
+"""End-to-end CLI tests, run through subprocesses (in-process where a handler
+is patched or a test makes a thousand calls)."""
 
 import json
 import os
@@ -9,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from clockwork import cli
+from clockwork.imp import If, Seq, While, pretty
+from clockwork.smallstep import iter_trace
+from clockwork.testkit import GenConfig, gen_com, gen_store
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,6 +112,18 @@ def test_run_parse_error_exit_1():
         bad.unlink()
 
 
+@pytest.mark.parametrize(
+    "src,where,char", [("é := 1", "1:1", "é"), ("xé := 1", "1:2", "é"), ("x := ²", "1:6", "²"), ("x := ٣", "1:6", "٣")]
+)
+def test_non_ascii_input_is_a_one_line_parse_error(tmp_path, src, where, char):
+    path = tmp_path / "bad.imp"
+    path.write_text(src, encoding="utf-8")
+    p = run_cli("parse", str(path), env_extra={"PYTHONIOENCODING": "utf-8"})
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert p.stderr == f"{path}:{where}: unexpected character {char!r}\n"
+
+
 def test_run_usage_errors_exit_1():
     p = run_cli("run", LOOP, "--sem", "cval", "--fuel", "nope")
     assert p.returncode == 1
@@ -162,6 +178,63 @@ def test_trace_step_limit():
         assert len(p.stdout.splitlines()) == 7  # 6 configs + summary
     finally:
         diverging.unlink()
+
+
+def _seq_shapes(c) -> set:
+    """"left" if some Seq in `c` has a Seq as its first operand, "right" if as its second."""
+    cls = type(c)
+    if cls is Seq:
+        kids = (c.first, c.second)
+        shapes = {side for side, kid in zip(("left", "right"), kids) if type(kid) is Seq}
+    elif cls is If:
+        kids, shapes = (c.then_branch, c.else_branch), set()
+    elif cls is While:
+        kids, shapes = (c.body,), set()
+    else:
+        return set()
+    return shapes.union(*map(_seq_shapes, kids))
+
+
+def test_trace_lines_equal_config_render_on_generated_programs(tmp_path, capsys):
+    # `trace` reuses the text of unchanged subtrees from line to line;
+    # Config.render() pretty-prints every configuration from scratch.
+    path = tmp_path / "p.imp"
+    cap = 300
+    shapes = {"left": 0, "right": 0}
+    for seed in range(1000):
+        gen = GenConfig(seed=seed, max_size=30)
+        com, store = gen_com(gen, 30), gen_store(gen)
+        for shape in _seq_shapes(com):
+            shapes[shape] += 1
+        path.write_text(pretty(com), encoding="utf-8")
+        init = ",".join(f"{k}={v}" for k, v in store.to_dict().items())
+        code = cli.main(["trace", str(path), "--cap", str(cap), "--init", init])
+        configs = list(iter_trace(com, store, cap))
+        done = configs[-1].is_terminal()
+        want = [cfg.render() for cfg in configs] + [f"steps: {len(configs) - 1}" if done else f"step-limit: {cap}"]
+        assert capsys.readouterr().out.splitlines() == want
+        assert code == (0 if done else 2)
+    assert min(shapes.values()) >= 100, shapes
+
+
+def test_long_straight_line_program_parses_and_traces(tmp_path):
+    text = " ; ".join(f"x{i % 7} := {i + 1}" for i in range(100_000))
+    path = tmp_path / "flat.imp"
+    path.write_text(text + "\n", encoding="utf-8")
+    p = run_cli("parse", str(path))
+    assert p.returncode == 0
+    assert json.loads(p.stdout) == {"pretty": text}
+    p = run_cli("trace", str(path), "--cap", "3", env_extra={"PYTHONIOENCODING": "utf-8"})
+    assert p.returncode == 2
+    after_one = text.split(" ; ", 1)[1]
+    after_two = text.split(" ; ", 2)[2]
+    assert p.stdout.splitlines() == [
+        f"⟨{text}, {{}}⟩",
+        f"⟨SKIP ; {after_one}, {{x0: 1}}⟩",
+        f"⟨{after_one}, {{x0: 1}}⟩",
+        f"⟨SKIP ; {after_two}, {{x0: 1, x1: 2}}⟩",
+        "step-limit: 3",
+    ]
 
 
 def test_parse_command():

@@ -171,6 +171,23 @@ def test_error_positions_and_messages(kind, src, position, message):
     assert (exc.value.position, exc.value.message) == (position, message)
 
 
+@pytest.mark.parametrize(
+    "src,position,char",
+    [("é := 1", (1, 1), "é"), ("xé := 1", (1, 2), "é"), ("x := ²", (1, 6), "²"), ("x := ٣", (1, 6), "٣")],
+)
+def test_non_ascii_letters_and_digits_are_unexpected_characters(src, position, char):
+    with pytest.raises(ParseError) as exc:
+        parse_com(src)
+    assert (exc.value.position, exc.value.message) == (position, f"unexpected character {char!r}")
+
+
+def test_long_straight_line_program_parses_and_prints():
+    # 100,000 statements: a right-nested Seq chain far deeper than the
+    # recursion limit.  Compared as text, because AST equality recurses.
+    text = " ; ".join(f"x{i % 7} := {i}" for i in range(100_000))
+    assert pretty(parse_com(text)) == text
+
+
 def test_error_is_exception_not_exit():
     # a parse failure must never kill the process
     try:

@@ -8,11 +8,13 @@ from clockwork.smallstep import (
     Config,
     StepLimit,
     Terminated,
+    TraceRenderer,
     iter_trace,
     run_oracle,
     run_oracle_stats,
     step,
 )
+from clockwork.testkit import GenConfig, gen_com
 
 S0 = Store()
 WORKED = parse_com("x := 0 ; WHILE x < 3 DO x := x + 1 OD")
@@ -113,6 +115,27 @@ def test_config_render():
     assert (
         Config(Set("x", N(1)), Store({"x": 3})).render() == "⟨x := 1, {x: 3}⟩"
     )
+
+
+def test_trace_renderer_memo_holds_only_the_spine_siblings():
+    # A balanced Seq tree of 4096 generated leaves, as large as the
+    # benchmark's 200 KB program.
+    level = [gen_com(GenConfig(seed=i), 12) for i in range(4096)]
+    while len(level) > 1:
+        pairs = [Seq(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        level = pairs + level[len(level) - len(level) % 2 :]
+    renderer = TraceRenderer()
+    for cfg in iter_trace(level[0], S0, 50):
+        line = renderer.render(cfg)
+        assert line == cfg.render()
+        siblings = []
+        c = cfg.com
+        while type(c) is Seq:
+            siblings.append(c.second)
+            c = c.first
+        assert set(renderer._memo) == {id(s) for s in siblings}
+        assert all(renderer._memo[id(s)][0] is s for s in siblings)
+        assert sum(len(text) for _, text in renderer._memo.values()) < len(line)
 
 
 def test_determinism():
