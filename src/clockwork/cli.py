@@ -23,6 +23,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from .clocked_env import least_fuel
 from .imp import Com, Store, pretty
 from .parser import ParseError, parse_com
 from .smallstep import Terminated, TraceRenderer, iter_trace, run_oracle
@@ -135,23 +136,18 @@ def _parse_fuel(spec: str) -> tuple[Optional[int], Optional[int]]:
     return fuel, None
 
 
+def _too_long_to_print(e: ValueError) -> SystemExit:
+    """Exit 1 for an integer with more digits than sys.get_int_max_str_digits()."""
+    print(f"clockwork: a value is too long to print: {e}", file=sys.stderr)
+    return SystemExit(EXIT_USAGE)
+
+
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
-
-
-def _min_sufficient_fuel(fn, c: Com, s: Store, known_good: int) -> int:
-    """Smallest fuel yielding a result, given one is known at `known_good`.
-
-    Well-defined because success is upward-closed in fuel (P6).
-    """
-    lo, hi = 0, known_good
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fn(c, s, mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    try:
+        text = json.dumps(obj, separators=(",", ":"))
+    except ValueError as e:
+        raise _too_long_to_print(e) from None
+    print(text)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -162,6 +158,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     env_like = sem_key in ENV_SEMANTICS
 
     exact_fuel, search_max = _parse_fuel(args.fuel)
+    if args.oracle and args.cap < 1:
+        print("clockwork: --cap must be positive", file=sys.stderr)
+        return EXIT_USAGE
     report: dict[str, object] = {"semantics": args.sem}
     if search_max is not None:
         report["fuel_in"] = f"search:{search_max}"
@@ -184,7 +183,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if env_like:
             final_store = result
             report["store"] = final_store.to_dict()
-            report["fuel_consumed"] = _min_sufficient_fuel(fn, com, store, effective_fuel)
+            # The evaluator's result is reported; its twin measures the fuel.
+            report["fuel_consumed"] = least_fuel(com, store, effective_fuel, sem_key == "ev")[1]
         else:
             final_store, leftover = result
             report["store"] = final_store.to_dict()
@@ -192,9 +192,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             report["fuel_consumed"] = effective_fuel - leftover
 
     if args.oracle:
-        if args.cap < 1:
-            print("clockwork: --cap must be positive", file=sys.stderr)
-            return EXIT_USAGE
         outcome = run_oracle(com, store, args.cap)
         report["oracle_steps"] = outcome.steps if isinstance(outcome, Terminated) else None
 
@@ -212,7 +209,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     last = None
     render = TraceRenderer().render
     for cfg in iter_trace(com, store, args.cap):
-        print(render(cfg))
+        try:
+            line = render(cfg)
+        except ValueError as e:
+            raise _too_long_to_print(e) from None
+        print(line)
         count += 1
         last = cfg
     if last is not None and last.is_terminal():

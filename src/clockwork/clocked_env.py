@@ -16,6 +16,9 @@ store's bindings in place (zeros popped, so it stays normalized) and
 wraps it into a Store only on return.  On a true While guard the loop
 node itself is pushed as the continuation of its body, which is what the
 unfold ``Seq(body, While(...))`` would push, without allocating it.
+
+Since the clock is not returned, ``least_fuel`` runs either discipline
+once more and reports the least fuel the run needed.
 """
 
 from __future__ import annotations
@@ -124,6 +127,70 @@ def ev_min(c: Com, s: Store, t: int) -> EnvResult:
                 break
             raise TypeError(f"not a command: {c!r}")
     return Store._wrap(m)
+
+
+def least_fuel(c: Com, s: Store, t: int, every_step: bool) -> Optional[tuple[Store, int]]:
+    """`ev` (every_step) or `ev_min` at fuel `t`, plus the least fuel that suffices.
+
+    Returns None exactly when the evaluator times out at `t`; otherwise
+    (its store, least fuel).  Neither clock is ever read except by a
+    clock-0 check, and the clock at a check is ``t - d`` for the ``d``
+    ticks spent on the path from the root.  A run at fuel ``t'`` takes
+    the same path, with the same stores, for as long as ``t' - d > 0`` at
+    every check, so the least sufficient fuel is ``t - low + 1`` for the
+    least clock ``low`` seen at a check, and 0 when nothing is checked
+    (``ev_min`` on a loop-free program).  One run finds it, without
+    assuming monotonicity.  The checks and ticks are those of `ev` and
+    `ev_min`, in the same order.
+    """
+    _check_fuel(t)
+    fuel = t
+    low = t + 1
+    m = dict(s._m)
+    stack: list[tuple[Com, int]] = [(c, t)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        c, t = pop()
+        while True:
+            cls = type(c)
+            if every_step:
+                if t < low:
+                    if t == 0:
+                        return None
+                    low = t
+                if cls is not Skip and cls is not Set:
+                    t -= 1
+            if cls is Skip:
+                break
+            if cls is Set:
+                v = aval(c.expr, m)
+                if v:
+                    m[c.var] = v
+                else:
+                    m.pop(c.var, None)
+                break
+            if cls is Seq:
+                push((c.second, t))
+                c = c.first
+                continue
+            if cls is If:
+                c = c.then_branch if bval(c.guard, m) else c.else_branch
+                continue
+            if cls is While:
+                if bval(c.guard, m):
+                    # ev_min's only check; for ev, the unfold's Seq step
+                    if t < low:
+                        if t == 0:
+                            return None
+                        low = t
+                    t -= 1
+                    push((c, t))
+                    c = c.body
+                    continue
+                break
+            raise TypeError(f"not a command: {c!r}")
+    return Store._wrap(m), fuel - low + 1
 
 
 class TerminationMeasureError(AssertionError):

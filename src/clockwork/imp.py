@@ -9,15 +9,13 @@ are total maps from variable names to integers with a default of 0.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
-_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
-
 
 def _check_name(name: str) -> None:
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    """Names match [a-zA-Z][a-zA-Z0-9_]*: ASCII identifiers not starting with '_'."""
+    if not (isinstance(name, str) and name.isascii() and name.isidentifier() and name[0] != "_"):
         raise ValueError(f"invalid variable name: {name!r}")
 
 

@@ -17,7 +17,8 @@ Grammar (';' and '&&' associate to the right, '+' to the left):
 
 Keywords (reserved, may not be identifiers): SKIP IF THEN ELSE FI WHILE
 DO OD true false.  Identifiers match [a-zA-Z][a-zA-Z0-9_]*.  Integer
-literals are an optional '-' immediately followed by digits [0-9].  Line
+literals are an optional '-' immediately followed by digits [0-9], at
+most ``sys.get_int_max_str_digits()`` of them (4300 by default).  Line
 comments run from '--' to end of line.  Whitespace (space, tab, '\\r',
 '\\n') between tokens is insignificant.  Any other character, a non-ASCII
 letter or digit included, is a lexical error.
@@ -152,8 +153,12 @@ class _Parser:
     def term(self) -> Aexp:
         tok = self.cur
         if tok[:1] in _INT_START:
+            try:
+                value = int(tok)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise self._error(f"integer literal too long ({len(tok.lstrip('-'))} digits)") from None
             self.pos += 1
-            return N(int(tok))
+            return N(value)
         if _is_ident(tok):
             self.pos += 1
             return V(tok)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from clockwork import cli
-from clockwork.imp import If, Seq, While, pretty
+from clockwork.imp import If, Seq, Store, While, pretty
+from clockwork.parser import parse_com
 from clockwork.smallstep import iter_trace
 from clockwork.testkit import GenConfig, gen_com, gen_store
 
@@ -68,7 +69,7 @@ def test_run_env_semantics_report_fields():
     assert doc["fuel_consumed"] == 3  # minimal sufficient fuel
 
 
-def test_run_fuel_search_found_and_not_found():
+def test_run_fuel_search_found_and_not_found(tmp_path):
     p = run_cli("run", LOOP, "--sem", "cval", "--fuel", "search:64", "--oracle")
     assert p.returncode == 0
     doc = json.loads(p.stdout)
@@ -79,17 +80,95 @@ def test_run_fuel_search_found_and_not_found():
     assert doc["fuel_consumed"] == 3
     assert doc["oracle_steps"] == 16
 
-    diverging = DATA / "diverge.imp"
+    diverging = tmp_path / "diverge.imp"
     diverging.write_text("WHILE true DO SKIP OD\n")
-    try:
-        p = run_cli("run", str(diverging), "--sem", "cval", "--fuel", "search:32", "--oracle", "--cap", "100")
-        assert p.returncode == 2
-        doc = json.loads(p.stdout)
-        assert doc["outcome"] == "not-found"
-        assert "store" not in doc and "fuel_consumed" not in doc
-        assert doc["oracle_steps"] is None
-    finally:
-        diverging.unlink()
+    p = run_cli("run", str(diverging), "--sem", "cval", "--fuel", "search:32", "--oracle", "--cap", "100")
+    assert p.returncode == 2
+    doc = json.loads(p.stdout)
+    assert doc["outcome"] == "not-found"
+    assert "store" not in doc and "fuel_consumed" not in doc
+    assert doc["oracle_steps"] is None
+
+
+def _counting(monkeypatch, sem_key):
+    """Counts the calls `run` makes to the evaluator it names."""
+    calls = []
+    fn = cli.SEMANTICS[sem_key]
+
+    def counted(*args):
+        calls.append(args[2])
+        return fn(*args)
+
+    monkeypatch.setitem(cli.SEMANTICS, sem_key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("sem", ["ev", "ev-min"])
+@pytest.mark.parametrize("fuel", ["10", str(10**12)])
+def test_run_depth_clocks_call_the_evaluator_once(monkeypatch, capsys, sem, fuel):
+    calls = _counting(monkeypatch, sem.replace("-", "_"))
+    assert cli.main(["run", LOOP, "--sem", sem, "--fuel", fuel]) == 0
+    assert calls == [int(fuel)]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["store"] == {"x": 3}
+    assert doc["fuel_consumed"] == {"ev": 8, "ev-min": 3}[sem]
+
+
+def test_run_search_reports_the_least_fuel_not_the_found_one(capsys):
+    # the search finds ev_min's result at fuel 4; the least sufficient is 3
+    assert cli.main(["run", LOOP, "--sem", "ev-min", "--fuel", "search:64"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["store"] == {"x": 3}
+    assert doc["fuel_consumed"] == 3
+
+
+def test_run_rejects_bad_cap_before_evaluating(monkeypatch, capsys):
+    calls = _counting(monkeypatch, "cval")
+    assert cli.main(["run", LOOP, "--sem", "cval", "--fuel", "3", "--oracle", "--cap", "0"]) == 1
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "clockwork: --cap must be positive\n"
+
+
+def _flat(n: int) -> str:
+    return " ; ".join(f"x{i % 7} := {i + 1}" for i in range(n))
+
+
+# Least sufficient fuel of an n-statement straight-line program.
+FLAT_FUEL = {
+    "ev": lambda n: n,
+    "ev-min": lambda n: 0,
+    "cval": lambda n: 0,
+    "cval-guard": lambda n: 0,
+    "cval-tick": lambda n: 2 * n - 1,
+}
+
+
+@pytest.mark.parametrize("sem", sorted(FLAT_FUEL))
+def test_run_straight_line_fuel_formulas_at_small_n(tmp_path, capsys, sem):
+    fn = cli.SEMANTICS[sem.replace("-", "_")]
+    path = tmp_path / "flat.imp"
+    for n in range(1, 13):
+        path.write_text(_flat(n), encoding="utf-8")
+        assert cli.main(["run", str(path), "--sem", sem, "--fuel", "100"]) == 0
+        fuel = json.loads(capsys.readouterr().out)["fuel_consumed"]
+        assert fuel == FLAT_FUEL[sem](n)
+        com = parse_com(_flat(n))
+        assert fn(com, Store(), fuel) is not None
+        assert fuel == 0 or fn(com, Store(), fuel - 1) is None
+
+
+def test_run_long_straight_line_program_under_all_semantics(tmp_path, capsys):
+    n = 100_000
+    path = tmp_path / "flat.imp"
+    path.write_text(_flat(n) + "\n", encoding="utf-8")
+    last = {f"x{i % 7}": i + 1 for i in range(n - 7, n)}
+    for sem, least in FLAT_FUEL.items():
+        assert cli.main(["run", str(path), "--sem", sem, "--fuel", "300000"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["store"] == dict(sorted(last.items()))
+        assert doc["fuel_consumed"] == least(n), sem
 
 
 def test_run_init_bindings_and_default_zero():
@@ -99,17 +178,47 @@ def test_run_init_bindings_and_default_zero():
     assert json.loads(p.stdout)["store"] == {"y": 1}  # unbound x reads as 0
 
 
-def test_run_parse_error_exit_1():
-    bad = DATA / "bad.imp"
+def test_run_parse_error_exit_1(tmp_path):
+    bad = tmp_path / "bad.imp"
     bad.write_text("x :=")
-    try:
-        p = run_cli("run", str(bad), "--sem", "cval", "--fuel", "1")
-        assert p.returncode == 1
-        assert p.stdout == ""
-        assert "1:5" in p.stderr
-        assert "arithmetic expression" in p.stderr
-    finally:
-        bad.unlink()
+    p = run_cli("run", str(bad), "--sem", "cval", "--fuel", "1")
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "1:5" in p.stderr
+    assert "arithmetic expression" in p.stderr
+
+
+# Python refuses to convert integers longer than this to or from text.
+DIGITS = sys.get_int_max_str_digits()
+TOO_LONG = "clockwork: a value is too long to print: Exceeds the limit"
+
+
+def test_parse_overlong_literal_is_a_one_line_parse_error(tmp_path, capsys):
+    path = tmp_path / "long.imp"
+    path.write_text("y := 1 ;\n  x := " + "1" * (DIGITS + 700) + "\n", encoding="utf-8")
+    assert cli.main(["parse", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{path}:2:8: integer literal too long ({DIGITS + 700} digits)\n"
+
+
+def test_run_overlong_result_is_one_stderr_line_exit_1(tmp_path, capsys):
+    path = tmp_path / "double.imp"
+    path.write_text("x := 1 ; WHILE i < 15000 DO x := x + x ; i := i + 1 OD\n")
+    assert cli.main(["run", str(path), "--sem", "cval", "--fuel", "20000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(TOO_LONG) and len(err.splitlines()) == 1
+
+
+def test_trace_overlong_value_is_one_stderr_line_exit_1(tmp_path, capsys):
+    # the literal prints; one doubling makes a value one digit too long
+    path = tmp_path / "double.imp"
+    path.write_text("x := " + "9" * DIGITS + " ; x := x + x\n")
+    assert cli.main(["trace", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 3  # the configurations before the doubling
+    assert err.startswith(TOO_LONG) and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -152,32 +261,26 @@ def test_trace_skip_program():
     assert p.stdout.splitlines() == ["⟨SKIP, {}⟩", "steps: 0"]
 
 
-def test_trace_single_assignment():
-    single = DATA / "one.imp"
+def test_trace_single_assignment(tmp_path):
+    single = tmp_path / "one.imp"
     single.write_text("x := 1\n")
-    try:
-        p = run_cli("trace", str(single))
-        lines = p.stdout.splitlines()
-        assert lines == [
-            "⟨x := 1, {}⟩",
-            "⟨SKIP, {x: 1}⟩",
-            "steps: 1",
-        ]
-        assert p.returncode == 0
-    finally:
-        single.unlink()
+    p = run_cli("trace", str(single))
+    lines = p.stdout.splitlines()
+    assert lines == [
+        "⟨x := 1, {}⟩",
+        "⟨SKIP, {x: 1}⟩",
+        "steps: 1",
+    ]
+    assert p.returncode == 0
 
 
-def test_trace_step_limit():
-    diverging = DATA / "dv.imp"
+def test_trace_step_limit(tmp_path):
+    diverging = tmp_path / "dv.imp"
     diverging.write_text("WHILE true DO SKIP OD\n")
-    try:
-        p = run_cli("trace", str(diverging), "--cap", "5")
-        assert p.returncode == 2
-        assert p.stdout.splitlines()[-1] == "step-limit: 5"
-        assert len(p.stdout.splitlines()) == 7  # 6 configs + summary
-    finally:
-        diverging.unlink()
+    p = run_cli("trace", str(diverging), "--cap", "5")
+    assert p.returncode == 2
+    assert p.stdout.splitlines()[-1] == "step-limit: 5"
+    assert len(p.stdout.splitlines()) == 7  # 6 configs + summary
 
 
 def _seq_shapes(c) -> set:

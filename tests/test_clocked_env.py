@@ -7,7 +7,7 @@ hand-computed instance of the clause's right-hand side.
 
 import pytest
 
-from clockwork.clocked_env import ev, ev_min, ev_min_checked
+from clockwork.clocked_env import ev, ev_min, ev_min_checked, least_fuel
 from clockwork.imp import Bc, If, Less, N, Plus, Seq, Set, Skip, Store, V, While, bval
 from clockwork.parser import parse_com
 from clockwork.testkit import GenConfig, case_stream, gen_com
@@ -156,3 +156,89 @@ def test_termination_witness_on_generated_programs():
     # the instrumented build must agree with ev_min and never trip its check
     for c, s, t in _cases(500, seed=23, budget=12):
         assert ev_min_checked(c, s, t) == ev_min(c, s, t)
+
+
+# --- least_fuel: the measuring twin of ev and ev_min ---
+
+
+def _bisect_least_fuel(fn, c, s, known_good):
+    """The least fuel at which `fn` succeeds, by bisection below a known success.
+
+    Sound because success is upward-closed in fuel (P6); least_fuel does
+    not rely on that.
+    """
+    lo, hi = 0, known_good
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fn(c, s, mid) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+TWINS = [(ev, True), (ev_min, False)]
+
+
+@pytest.mark.parametrize("fn,every_step", TWINS)
+def test_least_fuel_agrees_with_evaluator_and_bisection(fn, every_step):
+    # longer counting loops than the default, so ev_min often needs fuel
+    seed, budget = 31, 14
+    cfg = GenConfig(seed=seed, max_size=budget, literal_range=(-4, 16), loop_bias=0.8)
+    finals = fueled = timeouts = 0
+    for k in range(3000):
+        rng = case_stream(seed, k)
+        c, s = _gen_com(rng, cfg, budget), _gen_store(rng, cfg)
+        for t in (_gen_fuel(rng), 600):
+            want = fn(c, s, t)
+            got = least_fuel(c, s, t, every_step)
+            if want is None:
+                assert got is None, (c, s, t)
+                timeouts += 1
+                continue
+            store, fuel = got
+            assert store == want, (c, s, t)
+            assert fuel == _bisect_least_fuel(fn, c, s, t), (c, s, t)
+            assert fn(c, s, fuel) == want
+            assert fuel == 0 or fn(c, s, fuel - 1) is None
+            finals += 1
+            fueled += fuel > 0
+    assert finals >= 4000 and fueled >= 1000 and timeouts >= 300, (finals, fueled, timeouts)
+
+
+def test_least_fuel_without_and_with_a_check_at_the_root():
+    # no check at all: ev_min on loop-free code needs no fuel
+    assert least_fuel(Set("x", N(1)), S0, 5, False) == (Store({"x": 1}), 0)
+    assert least_fuel(While(Bc(False), Skip()), S0, 0, False) == (S0, 0)
+    # ev checks the root, so even SKIP needs 1
+    assert least_fuel(Skip(), S0, 7, True) == (S0, 1)
+    assert least_fuel(Skip(), S0, 0, True) is None
+
+
+@pytest.mark.parametrize("fn,every_step", TWINS)
+def test_least_fuel_on_the_worked_loop_and_a_divergent_one(fn, every_step):
+    assert least_fuel(While(Bc(True), Skip()), S0, 50, every_step) is None
+    prog = parse_com("x := 0 ; WHILE x < 3 DO x := x + 1 OD")
+    store, fuel = least_fuel(prog, S0, 1000, every_step)
+    assert store == Store({"x": 3}) == fn(prog, S0, fuel)
+    assert fn(prog, S0, fuel - 1) is None
+
+
+def test_least_fuel_on_the_counting_loop_closed_forms():
+    # the shape of the benchmark's LOOP: ev needs 2n + 4, ev_min needs n
+    n, m = 500, 200
+    prog = parse_com(f"i := 0 ; WHILE i < {n} DO IF i < {m} THEN a := a + 1 ELSE b := b + 1 FI ; i := i + 1 OD")
+    want = Store({"a": m, "b": n - m, "i": n})
+    assert least_fuel(prog, S0, 10 * n, True) == (want, 2 * n + 4)
+    assert least_fuel(prog, S0, 10 * n, False) == (want, n)
+
+
+def test_least_fuel_validates_fuel_and_leaves_the_argument_store():
+    for every_step in (True, False):
+        with pytest.raises(ValueError):
+            least_fuel(Skip(), S0, -1, every_step)
+        with pytest.raises(ValueError):
+            least_fuel(Skip(), S0, True, every_step)
+        before = dict(S1._m)
+        least_fuel(Set("x", N(0)), S1, 3, every_step)
+        assert S1._m == before

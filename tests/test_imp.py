@@ -1,5 +1,8 @@
 """Syntax, store, and expression-semantics unit tests."""
 
+import itertools
+import re
+
 import pytest
 
 from clockwork.imp import (
@@ -167,6 +170,25 @@ def test_variable_name_validation_in_ast():
     with pytest.raises(ValueError):
         Set("x y", N(1))
     V("x_1")  # fine
+
+
+def test_name_check_accepts_exactly_the_identifier_language():
+    # reference: the regex the check replaced
+    pattern = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
+    alphabet = "aZ0_é\n-"
+    names = ["", "_x", "1x", "a\n", "SKIP", "²", "ab١"]
+    names += ["".join(p) for k in (1, 2, 3) for p in itertools.product(alphabet, repeat=k)]
+    for name in names:
+        valid = pattern.match(name) is not None
+        for make in (V, lambda n: Set(n, N(1)), lambda n: Store({n: 1})):
+            if valid:
+                make(name)
+            else:
+                with pytest.raises(ValueError):
+                    make(name)
+    for not_a_str in (None, 1, b"x"):
+        with pytest.raises(ValueError):
+            V(not_a_str)
 
 
 # --- pretty ---

@@ -1,5 +1,7 @@
 """Lexer/parser unit tests and pretty-printer round trips."""
 
+import sys
+
 import pytest
 
 from clockwork.imp import (
@@ -179,6 +181,23 @@ def test_non_ascii_letters_and_digits_are_unexpected_characters(src, position, c
     with pytest.raises(ParseError) as exc:
         parse_com(src)
     assert (exc.value.position, exc.value.message) == (position, f"unexpected character {char!r}")
+
+
+def test_overlong_literals_are_parse_errors_at_the_literal():
+    # Python's integer-string limit; a literal at the limit still parses
+    digits = sys.get_int_max_str_digits()
+    at_limit = "-" + "7" * digits
+    assert parse_aexp(at_limit) == N(int(at_limit))
+    over = "1" * (digits + 1)
+    for parse, src, position in [
+        (parse_com, f"x := 1 ;\n\ty := 2 + {over}", (2, 11)),
+        (parse_aexp, f"-{over}", (1, 1)),
+        (parse_bexp, f"(x + -{over}) < 1", (1, 6)),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert exc.value.position == position
+        assert exc.value.message == f"integer literal too long ({digits + 1} digits)"
 
 
 def test_long_straight_line_program_parses_and_prints():
