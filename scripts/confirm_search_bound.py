@@ -1,72 +1,29 @@
 #!/usr/bin/env python3
-"""Exhaustively confirm the P9 fuel-search bound on small programs.
+"""Exhaustively confirm P9 on small programs and show its bound's margin.
 
-Enumerates every command of size <= MAX_SIZE over fixed pools of
-arithmetic and boolean expressions, runs the small-step oracle from a
-handful of stores, and for every oracle-terminated case checks that
-
-  * cval and ev_min succeed at fuel steps+1 with the oracle's store, and
-  * the doubling fuel search finds ev and cval_tick results within
-    4 * (steps + size) + 8.
-
-Prints the worst observed need/bound ratios so the margin is visible.
-Usage: confirm_search_bound.py [MAX_SIZE] (default 5).
+Checks every oracle-terminated case of ``testkit.enumerate_coms(MAX_SIZE)``
+from each of ``ENUM_STORES`` with the campaign's own ``p9_agreement``, and
+prints the worst ratio of least sufficient fuel to ``search_bound`` for ev
+and cval_tick.
+Usage: PYTHONPATH=src confirm_search_bound.py [MAX_SIZE] (default 5).
 """
-
-from __future__ import annotations
 
 import sys
 import time
-from itertools import product
 
-from clockwork.clocked_env import ev, ev_min
-from clockwork.clocked_state import cval, cval_tick
-from clockwork.imp import (
-    And,
-    Bc,
-    If,
-    Less,
-    N,
-    Not,
-    Plus,
-    Seq,
-    Set,
-    Skip,
-    Store,
-    V,
-    While,
-    pretty,
-    size,
-)
-from clockwork.smallstep import Terminated, run_oracle
-from clockwork.testkit import fuel_search, search_bound
+from clockwork.clocked_env import least_fuel
+from clockwork.clocked_state import cval_tick
+from clockwork.imp import pretty, size
+from clockwork.smallstep import StepLimit, run_oracle_stats
+from clockwork.testkit import ENUM_STORES, enumerate_coms, p9_agreement, search_bound
 
-AEXPS = (N(0), N(1), V("x"), Plus(V("x"), N(1)))
-BEXPS = (Bc(True), Bc(False), Less(V("x"), N(2)), Not(Less(V("x"), N(2))))
-VARS = ("x", "y")
-STORES = (Store(), Store({"x": -1, "y": 2}), Store({"x": 3}))
 ORACLE_CAP = 500
-
-
-def enumerate_coms(max_size: int) -> list:
-    by_size: dict[int, list] = {1: [Skip()] + [Set(x, a) for x in VARS for a in AEXPS]}
-    for k in range(2, max_size + 1):
-        coms = []
-        coms.extend(While(b, body) for b in BEXPS for body in by_size[k - 1])
-        for left_size in range(1, k - 1):
-            right_size = k - 1 - left_size
-            for c1, c2 in product(by_size[left_size], by_size[right_size]):
-                coms.append(Seq(c1, c2))
-                for b in BEXPS:
-                    coms.append(If(b, c1, c2))
-        by_size[k] = coms
-    return [c for k in range(1, max_size + 1) for c in by_size[k]]
 
 
 def main() -> int:
     max_size = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     coms = enumerate_coms(max_size)
-    print(f"programs of size <= {max_size}: {len(coms)}; stores: {len(STORES)}")
+    print(f"programs of size <= {max_size}: {len(coms)}; stores: {len(ENUM_STORES)}")
     t0 = time.time()
     terminated = 0
     step_limited = 0
@@ -74,45 +31,28 @@ def main() -> int:
     worst_case = {"ev": None, "cval_tick": None}
     failures = 0
     for i, c in enumerate(coms):
-        sz = size(c)
-        for s in STORES:
-            outcome = run_oracle(c, s, ORACLE_CAP)
-            if not isinstance(outcome, Terminated):
+        for s in ENUM_STORES:
+            outcome, while_steps = run_oracle_stats(c, s, ORACLE_CAP)
+            if isinstance(outcome, StepLimit):
                 step_limited += 1
                 continue
             terminated += 1
-            n, s_fin = outcome.steps, outcome.store
-            bound = search_bound(n, sz)
-
-            r = cval(c, s, n + 1)
-            if r is None or r[0] != s_fin:
+            failed = p9_agreement(c, s, outcome, while_steps)
+            if failed is not None:
                 failures += 1
-                print(f"FAIL cval@{n + 1}: {pretty(c)} from {s.to_dict()}")
+                print(f"FAIL {pretty(c)} from {s.to_dict()}: expected {failed[0]}; got {failed[1]}")
                 continue
-            r2 = ev_min(c, s, n + 1)
-            if r2 != s_fin:
-                failures += 1
-                print(f"FAIL ev_min@{n + 1}: {pretty(c)} from {s.to_dict()}")
-                continue
-            for sem, fn, unwrap in (("ev", ev, False), ("cval_tick", cval_tick, True)):
-                found = fuel_search(sem, c, s, bound)
-                if found is None:
-                    failures += 1
-                    print(f"FAIL {sem} not found within {bound}: {pretty(c)} from {s.to_dict()}")
-                    continue
-                store = found[1][0] if unwrap else found[1]
-                if store != s_fin:
-                    failures += 1
-                    print(f"FAIL {sem} wrong store: {pretty(c)} from {s.to_dict()}")
-                    continue
-                # Exact need for the margin report (monotone, so linear scan down).
-                need = found[0]
-                while need > 1 and fn(c, s, need - 1) is not None:
-                    need -= 1
-                ratio = need / bound
+            n = outcome.steps
+            bound = search_bound(n, size(c))
+            # P9 found both within `bound`, so by fuel monotonicity both
+            # succeed at it; ev's one-pass twin and cval_tick's spent
+            # clock then give the exact least fuel.
+            need = {"ev": least_fuel(c, s, bound, True)[1], "cval_tick": bound - cval_tick(c, s, bound)[1]}
+            for sem in ("ev", "cval_tick"):
+                ratio = need[sem] / bound
                 if ratio > worst[sem]:
                     worst[sem] = ratio
-                    worst_case[sem] = (pretty(c), s.to_dict(), n, need, bound)
+                    worst_case[sem] = (pretty(c), s.to_dict(), n, need[sem], bound)
         if (i + 1) % 20000 == 0:
             print(f"  ... {i + 1}/{len(coms)} programs, {time.time() - t0:.0f}s")
     print(f"terminated cases: {terminated}, step-limited: {step_limited}, failures: {failures}")

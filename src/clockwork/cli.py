@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -36,13 +37,30 @@ from .testkit import (
     run_property,
 )
 
-_SEM_CHOICES = ("ev", "ev-min", "cval", "cval-guard", "cval-tick")
+_SEM_CHOICES = tuple(name.replace("_", "-") for name in SEMANTICS)
 _DEFAULT_SEED = 42
 _DEFAULT_CAP = 10_000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TIMEOUT = 2
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """An ASCII decimal integer, ``-?[0-9]+``, as program literals are.
+
+    ``int`` alone also reads other scripts' digits (``٣``), ``_`` between
+    digits, a ``+`` sign and surrounding whitespace.
+    """
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+_decimal.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -63,18 +81,18 @@ def _build_parser() -> _ArgumentParser:
     run_p.add_argument("--fuel", required=True, help="initial fuel N, or search:MAX for a doubling search")
     run_p.add_argument("--init", default="", help="initial store, e.g. x=3,y=1")
     run_p.add_argument("--oracle", action="store_true", help="also run the small-step oracle")
-    run_p.add_argument("--cap", type=int, default=_DEFAULT_CAP, help="oracle step cap")
+    run_p.add_argument("--cap", type=_decimal, default=_DEFAULT_CAP, help="oracle step cap")
 
     trace_p = sub.add_parser("trace", help="print the small-step trace")
     trace_p.add_argument("file")
     trace_p.add_argument("--init", default="")
-    trace_p.add_argument("--cap", type=int, default=_DEFAULT_CAP, help="step cap")
+    trace_p.add_argument("--cap", type=_decimal, default=_DEFAULT_CAP, help="step cap")
 
     check_p = sub.add_parser("check", help="run property campaigns")
     check_p.add_argument("properties", nargs="*", metavar="PROP", help="property ids (P1..P10, RT)")
     check_p.add_argument("--all", action="store_true", help="run every property")
-    check_p.add_argument("--seed", type=int, default=None, help="campaign seed (default: $CLOCKWORK_SEED or 42)")
-    check_p.add_argument("--cases", type=int, default=1000, help="cases per property")
+    check_p.add_argument("--seed", type=_decimal, default=None, help="campaign seed (default: $CLOCKWORK_SEED or 42)")
+    check_p.add_argument("--cases", type=_decimal, default=1000, help="cases per property")
 
     parse_p = sub.add_parser("parse", help="parse a program and pretty-print it")
     parse_p.add_argument("file")
@@ -104,7 +122,7 @@ def _parse_init(spec: str) -> Store:
             try:
                 if not eq:
                     raise ValueError("missing '='")
-                bindings[name] = int(value.strip())
+                bindings[name] = _decimal(value.strip())
             except ValueError as e:
                 print(f"clockwork: bad --init binding {item!r}: {e}", file=sys.stderr)
                 raise SystemExit(EXIT_USAGE)
@@ -119,7 +137,7 @@ def _parse_fuel(spec: str) -> tuple[Optional[int], Optional[int]]:
     """Returns (exact_fuel, search_max); exactly one is set."""
     if spec.startswith("search:"):
         try:
-            max_fuel = int(spec[len("search:"):])
+            max_fuel = _decimal(spec[len("search:"):])
             if max_fuel < 1:
                 raise ValueError
         except ValueError:
@@ -127,7 +145,7 @@ def _parse_fuel(spec: str) -> tuple[Optional[int], Optional[int]]:
             raise SystemExit(EXIT_USAGE)
         return None, max_fuel
     try:
-        fuel = int(spec)
+        fuel = _decimal(spec)
         if fuel < 0:
             raise ValueError
     except ValueError:
@@ -241,7 +259,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None:
         try:
-            seed = int(os.environ.get("CLOCKWORK_SEED", _DEFAULT_SEED))
+            seed = _decimal(os.environ.get("CLOCKWORK_SEED", str(_DEFAULT_SEED)))
         except ValueError:
             print("clockwork: CLOCKWORK_SEED must be an integer", file=sys.stderr)
             return EXIT_USAGE

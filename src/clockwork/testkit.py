@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterator, Optional, Union
 
 from .clocked_env import EnvResult, ev, ev_min
@@ -82,8 +83,8 @@ def search_bound(steps: int, program_size: int) -> int:
     """Fuel ceiling for finding depth-clocked results of an oracle-terminated
     run: 4 * (steps + program size) + 8.
 
-    Confirmed by exhaustive search over small programs (see the fuel-bound
-    test module) before being baked into P9.
+    Confirmed on every `enumerate_coms` program up to size 5 before being
+    baked into P9; `p9_agreement` checks it, there and in the campaign.
     """
     return 4 * (steps + program_size) + 8
 
@@ -260,6 +261,25 @@ def _gen_fuel(rng: SplitMix64) -> int:
 def gen_store(cfg: GenConfig) -> Store:
     """Deterministic random store over the configured variable pool."""
     return _gen_store(SplitMix64(mix64(cfg.seed ^ 0x5353)), cfg)
+
+
+_ENUM_AEXPS = (N(0), N(1), V("x"), Plus(V("x"), N(1)))
+_ENUM_BEXPS = (Bc(True), Bc(False), Less(V("x"), N(2)), Not(Less(V("x"), N(2))))
+ENUM_STORES = (Store(), Store({"x": -1, "y": 2}), Store({"x": 3}))
+
+
+def enumerate_coms(max_size: int) -> list[Com]:
+    """Every command of size <= max_size over fixed expression pools, by
+    size, so a smaller bound gives a prefix (594 / 6,030 / 83,664 at 3 / 4 / 5)."""
+    by_size = {1: [Skip()] + [Set(x, a) for x in ("x", "y") for a in _ENUM_AEXPS]}
+    for k in range(2, max_size + 1):
+        coms = [While(b, body) for b in _ENUM_BEXPS for body in by_size[k - 1]]
+        for left in range(1, k - 1):
+            for c1, c2 in product(by_size[left], by_size[k - 1 - left]):
+                coms.append(Seq(c1, c2))
+                coms.extend(If(b, c1, c2) for b in _ENUM_BEXPS)
+        by_size[k] = coms
+    return [c for k in range(1, max_size + 1) for c in by_size[k]]
 
 
 # --------------------------------------------------------------------------
@@ -509,11 +529,9 @@ def _check_p8(inp: dict[str, object]) -> _CheckOutcome:
     return None
 
 
-def _check_p9(inp: dict[str, object]) -> _CheckOutcome:
-    c, s = inp["program"], inp["store"]
-    outcome, while_steps = run_oracle_stats(c, s, ORACLE_CAP)
-    if isinstance(outcome, StepLimit):
-        return None
+def p9_agreement(c: Com, s: Store, outcome: Terminated, while_steps: int) -> Optional[tuple[str, str]]:
+    """P9 on a case the oracle ran to `outcome` in `while_steps` unfolds:
+    None, or (expected, actual) for the first evaluator that disagrees."""
     s_fin, n = outcome.store, outcome.steps
     want = f"final {s_fin.to_dict()}"
 
@@ -541,6 +559,14 @@ def _check_p9(inp: dict[str, object]) -> _CheckOutcome:
         if store != s_fin:
             return (f"{sem} search reaches {want}", f"final {store.to_dict()}")
     return None
+
+
+def _check_p9(inp: dict[str, object]) -> _CheckOutcome:
+    c, s = inp["program"], inp["store"]
+    outcome, while_steps = run_oracle_stats(c, s, ORACLE_CAP)
+    if isinstance(outcome, StepLimit):
+        return None
+    return p9_agreement(c, s, outcome, while_steps)
 
 
 def _check_p10(inp: dict[str, object]) -> _CheckOutcome:
@@ -824,6 +850,7 @@ def replay_case(property_id: str, cfg: GenConfig, case_index: int) -> tuple[dict
 
 
 __all__ = [
+    "ENUM_STORES",
     "ENV_SEMANTICS",
     "Failure",
     "GenConfig",
@@ -835,10 +862,12 @@ __all__ = [
     "SplitMix64",
     "TIMEOUT_FUEL_CEILING",
     "case_stream",
+    "enumerate_coms",
     "fuel_search",
     "gen_com",
     "gen_store",
     "mix64",
+    "p9_agreement",
     "replay_case",
     "run_property",
     "search_bound",

@@ -242,6 +242,64 @@ def test_run_usage_errors_exit_1():
     assert p.returncode == 1
 
 
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as e:  # argparse rejects a value before main's handler runs
+        return e.code
+
+
+_BAD_INT = "invalid literal for int() with base 10"
+
+
+@pytest.mark.parametrize(
+    "argv,env_seed,code,err_tail",
+    [
+        (["run", LOOP, "--sem", "cval", "--fuel", "3"], None, 0, None),
+        (["run", LOOP, "--sem", "cval", "--fuel", "-3"], None, 1, "clockwork: bad --fuel '-3': expected N or search:MAX"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "٣"], None, 1, "clockwork: bad --fuel '٣': expected N or search:MAX"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "1_0"], None, 1, "clockwork: bad --fuel '1_0': expected N or search:MAX"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "+3"], None, 1, "clockwork: bad --fuel '+3': expected N or search:MAX"),
+        (["run", LOOP, "--sem", "cval", "--fuel", " 3"], None, 1, "clockwork: bad --fuel ' 3': expected N or search:MAX"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "search:1_0"], None, 1, "clockwork: bad --fuel search spec 'search:1_0'"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "search:٣"], None, 1, "clockwork: bad --fuel search spec 'search:٣'"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "3", "--init", " x = -2 , y=1"], None, 0, None),
+        (["run", LOOP, "--sem", "cval", "--fuel", "3", "--init", "x=٣"], None, 1, f"clockwork: bad --init binding 'x=٣': {_BAD_INT}: '٣'"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "3", "--init", "x=1_0"], None, 1, f"clockwork: bad --init binding 'x=1_0': {_BAD_INT}: '1_0'"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "3", "--init", "x=oops"], None, 1, f"clockwork: bad --init binding 'x=oops': {_BAD_INT}: 'oops'"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "3", "--oracle", "--cap", "٣"], None, 1, "clockwork run: error: argument --cap: invalid int value: '٣'"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "3", "--oracle", "--cap", "x"], None, 1, "clockwork run: error: argument --cap: invalid int value: 'x'"),
+        (["trace", LOOP, "--cap", "1_0"], None, 1, "clockwork trace: error: argument --cap: invalid int value: '1_0'"),
+        (["check", "P1", "--cases", "٣", "--seed", "42"], None, 1, "clockwork check: error: argument --cases: invalid int value: '٣'"),
+        (["check", "P1", "--cases", "3", "--seed", "٤٢"], None, 1, "clockwork check: error: argument --seed: invalid int value: '٤٢'"),
+        (["check", "P1", "--cases", "3", "--seed", "-42"], None, 0, None),
+        (["check", "P1", "--cases", "3"], "٤٢", 1, "clockwork: CLOCKWORK_SEED must be an integer"),
+        (["check", "P1", "--cases", "3"], "4_2", 1, "clockwork: CLOCKWORK_SEED must be an integer"),
+        (["check", "P1", "--cases", "3"], "42", 0, None),
+    ],
+)
+def test_integer_options_are_ascii_decimal(monkeypatch, capsys, argv, env_seed, code, err_tail):
+    if env_seed is None:
+        monkeypatch.delenv("CLOCKWORK_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CLOCKWORK_SEED", env_seed)
+    assert _exit_code(argv) == code
+    out, err = capsys.readouterr()
+    if err_tail is None:
+        assert err == "" and out
+    else:
+        assert out == ""
+        assert err.splitlines()[-1] == err_tail
+
+
+def test_sem_choices_are_the_semantics_names_in_order(capsys):
+    assert _exit_code(["run", LOOP, "--sem", "bogus", "--fuel", "1"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "clockwork run: error: argument --sem: invalid choice: 'bogus' "
+        "(choose from 'ev', 'ev-min', 'cval', 'cval-guard', 'cval-tick')"
+    )
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
 def test_resource_exhaustion_is_one_stderr_line_exit_1(monkeypatch, capsys, exc):
     def handler(args):

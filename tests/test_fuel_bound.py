@@ -1,61 +1,23 @@
-"""Exhaustive confirmation of the P9 fuel-search bound on small programs.
-
-Every command of size <= 4 over fixed expression pools is run from three
-stores; for each oracle-terminated case the doubling search must find ev
-and cval_tick results within 4 * (steps + size) + 8, and cval / ev_min
-must succeed at fuel steps + 1.  scripts/confirm_search_bound.py runs
-the same check at size <= 5 (83,664 programs; 0 failures when the bound
-was frozen).
+"""P9 on every small program: each command of ``enumerate_coms(4)``, from
+each of ``ENUM_STORES``, passes the campaign's own check, ``p9_agreement``,
+whenever the oracle terminates within 500 steps.  The same check runs at
+size <= 5 in scripts/confirm_search_bound.py (0 failures).
 """
 
-from itertools import product
+from clockwork.imp import pretty
+from clockwork.smallstep import StepLimit, run_oracle_stats
+from clockwork.testkit import ENUM_STORES, enumerate_coms, p9_agreement
 
-from clockwork.clocked_env import ev_min
-from clockwork.clocked_state import cval
-from clockwork.imp import Bc, If, Less, N, Not, Plus, Seq, Set, Skip, Store, V, While, size
-from clockwork.smallstep import Terminated, run_oracle
-from clockwork.testkit import ENV_SEMANTICS, fuel_search, search_bound
-
-AEXPS = (N(0), N(1), V("x"), Plus(V("x"), N(1)))
-BEXPS = (Bc(True), Bc(False), Less(V("x"), N(2)), Not(Less(V("x"), N(2))))
-VARS = ("x", "y")
-STORES = (Store(), Store({"x": -1, "y": 2}), Store({"x": 3}))
-MAX_SIZE = 4
 ORACLE_CAP = 500
 
 
-def _enumerate_coms(max_size):
-    by_size = {1: [Skip()] + [Set(x, a) for x in VARS for a in AEXPS]}
-    for k in range(2, max_size + 1):
-        coms = [While(b, body) for b in BEXPS for body in by_size[k - 1]]
-        for left in range(1, k - 1):
-            for c1, c2 in product(by_size[left], by_size[k - 1 - left]):
-                coms.append(Seq(c1, c2))
-                coms.extend(If(b, c1, c2) for b in BEXPS)
-        by_size[k] = coms
-    return [c for k in range(1, max_size + 1) for c in by_size[k]]
-
-
 def test_search_bound_exhaustive_small_programs():
-    coms = _enumerate_coms(MAX_SIZE)
-    assert len(coms) > 5000  # the space is not accidentally tiny
     terminated = 0
-    for c in coms:
-        sz = size(c)
-        for s in STORES:
-            outcome = run_oracle(c, s, ORACLE_CAP)
-            if not isinstance(outcome, Terminated):
+    for c in enumerate_coms(4):
+        for s in ENUM_STORES:
+            outcome, while_steps = run_oracle_stats(c, s, ORACLE_CAP)
+            if isinstance(outcome, StepLimit):
                 continue
             terminated += 1
-            n, s_fin = outcome.steps, outcome.store
-            assert cval(c, s, n + 1) is not None
-            assert cval(c, s, n + 1)[0] == s_fin
-            assert ev_min(c, s, n + 1) == s_fin
-            bound = search_bound(n, sz)
-            for sem in ("ev", "cval_tick"):
-                found = fuel_search(sem, c, s, bound)
-                assert found is not None, (sem, c, s)
-                res = found[1]
-                store = res if sem in ENV_SEMANTICS else res[0]
-                assert store == s_fin, (sem, c, s)
+            assert p9_agreement(c, s, outcome, while_steps) is None, (pretty(c), s.to_dict())
     assert terminated > 10000

@@ -14,6 +14,7 @@ from clockwork.testkit import (
     _gen_case,
     _shrink,
     case_stream,
+    enumerate_coms,
     fuel_search,
     gen_com,
     mix64,
@@ -150,6 +151,20 @@ def test_fuel_search_validation():
         fuel_search("nope", Skip(), S0, 8)
     with pytest.raises(ValueError):
         fuel_search("ev", Skip(), S0, 0)
+
+
+# --- bounded-exhaustive enumeration ---
+
+
+def test_enumerate_coms_counts_distinct_and_sizes():
+    coms = enumerate_coms(5)
+    assert len(set(coms)) == len(coms) == 83_664
+    sizes = [size(c) for c in coms]
+    assert sizes == sorted(sizes)  # by size, so a smaller bound is a prefix
+    for k, count in ((3, 594), (4, 6_030)):
+        assert enumerate_coms(k) == coms[:count]
+        assert max(sizes[:count]) == k
+    assert max(sizes) == 5
 
 
 # --- campaigns ---
