@@ -1,5 +1,6 @@
 """Generator, fuel-search, campaign, and shrinking tests."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from clockwork.imp import If, N, Plus, Seq, Set, Skip, Store, V, While, size
 from clockwork.parser import parse_com
 from clockwork.testkit import (
+    PROPERTY_IDS,
     SKIPPED,
     GenConfig,
     PropertyReport,
     SplitMix64,
     _gen_case,
+    _render_inputs,
     _shrink,
     case_stream,
     enumerate_coms,
@@ -121,6 +124,31 @@ def test_generated_distribution_pinned():
     assert n_while == 538
     assert n_if == 293
     assert n_while >= 1 and n_if >= 1
+
+
+# sha256 of the JSON list of rendered inputs of cases 0..99 at seed 42; pins
+# each property's key order, draw order and ranges.  P1-P3 and P7 draw the
+# same triple, P9 and P10 the same (program, store) pair.
+_DRAW_DIGESTS = {
+    "P1": "58a96afe6819a4e5785b19688ea15ec389bb6fec5696204de3b7d7f706c1e533",
+    "P2": "58a96afe6819a4e5785b19688ea15ec389bb6fec5696204de3b7d7f706c1e533",
+    "P3": "58a96afe6819a4e5785b19688ea15ec389bb6fec5696204de3b7d7f706c1e533",
+    "P4": "6f572a3fe14217e193b31ba6c72cde54b4d51cecd21627522cb21908298d913c",
+    "P5": "f47ac20882f050106ce867302ec808e81e2deef00457f7a55a02451f29c861c5",
+    "P6": "9c5d035055a69483cb1502a2f6c33db0e752d634c951b53e5838b2fe7ef33d1d",
+    "P7": "58a96afe6819a4e5785b19688ea15ec389bb6fec5696204de3b7d7f706c1e533",
+    "P8": "2542781088bda083f140870690cae2fbfd21057a2a337247643af50311c32026",
+    "P9": "0a59449da0616916d7700016853f3947dc525850c23fb4926ef11f39a4651c40",
+    "P10": "0a59449da0616916d7700016853f3947dc525850c23fb4926ef11f39a4651c40",
+    "RT": "1896637e26314ce338a37c2173e2036321696b8ed9db30631f79ac078cfa40cd",
+}
+
+
+@pytest.mark.parametrize("pid", PROPERTY_IDS)
+def test_case_draws_pinned(pid):
+    cfg = GenConfig(seed=42)
+    cases = [_render_inputs(_gen_case(pid, case_stream(42, k), cfg)[0]) for k in range(100)]
+    assert hashlib.sha256(json.dumps(cases).encode()).hexdigest() == _DRAW_DIGESTS[pid]
 
 
 # --- fuel_search ---
