@@ -29,7 +29,7 @@ from .imp import Com, Store, pretty
 from .parser import ParseError, parse_com
 from .smallstep import Terminated, TraceRenderer, iter_trace, run_oracle
 from .testkit import (
-    ENV_SEMANTICS,
+    ORACLE_CAP,
     PROPERTY_IDS,
     SEMANTICS,
     GenConfig,
@@ -39,7 +39,6 @@ from .testkit import (
 
 _SEM_CHOICES = tuple(name.replace("_", "-") for name in SEMANTICS)
 _DEFAULT_SEED = 42
-_DEFAULT_CAP = 10_000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,12 +80,12 @@ def _build_parser() -> _ArgumentParser:
     run_p.add_argument("--fuel", required=True, help="initial fuel N, or search:MAX for a doubling search")
     run_p.add_argument("--init", default="", help="initial store, e.g. x=3,y=1")
     run_p.add_argument("--oracle", action="store_true", help="also run the small-step oracle")
-    run_p.add_argument("--cap", type=_decimal, default=_DEFAULT_CAP, help="oracle step cap")
+    run_p.add_argument("--cap", type=_decimal, default=ORACLE_CAP, help="oracle step cap")
 
     trace_p = sub.add_parser("trace", help="print the small-step trace")
     trace_p.add_argument("file")
     trace_p.add_argument("--init", default="")
-    trace_p.add_argument("--cap", type=_decimal, default=_DEFAULT_CAP, help="step cap")
+    trace_p.add_argument("--cap", type=_decimal, default=ORACLE_CAP, help="step cap")
 
     check_p = sub.add_parser("check", help="run property campaigns")
     check_p.add_argument("properties", nargs="*", metavar="PROP", help="property ids (P1..P10, RT)")
@@ -103,7 +102,7 @@ def _load_program(path: str) -> Com:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"clockwork: cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     try:
@@ -173,7 +172,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     store = _parse_init(args.init)
     sem_key = args.sem.replace("-", "_")
     fn = SEMANTICS[sem_key]
-    env_like = sem_key in ENV_SEMANTICS
 
     exact_fuel, search_max = _parse_fuel(args.fuel)
     if args.oracle and args.cap < 1:
@@ -198,9 +196,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if result is not None:
         report["outcome"] = "final"
-        if env_like:
-            final_store = result
-            report["store"] = final_store.to_dict()
+        if isinstance(result, Store):
+            report["store"] = result.to_dict()
             # The evaluator's result is reported; its twin measures the fuel.
             report["fuel_consumed"] = least_fuel(com, store, effective_fuel, sem_key == "ev")[1]
         else:

@@ -13,10 +13,16 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 
+KEYWORDS = frozenset({"SKIP", "IF", "THEN", "ELSE", "FI", "WHILE", "DO", "OD", "true", "false"})
+
+
 def _check_name(name: str) -> None:
-    """Names match [a-zA-Z][a-zA-Z0-9_]*: ASCII identifiers not starting with '_'."""
+    """Names match [a-zA-Z][a-zA-Z0-9_]*: ASCII identifiers not starting with
+    '_', and not a keyword, so that `pretty` prints text `parse_com` reads back."""
     if not (isinstance(name, str) and name.isascii() and name.isidentifier() and name[0] != "_"):
         raise ValueError(f"invalid variable name: {name!r}")
+    if name in KEYWORDS:
+        raise ValueError(f"variable name is a keyword: {name!r}")
 
 
 # --------------------------------------------------------------------------

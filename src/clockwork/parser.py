@@ -34,9 +34,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from .imp import Aexp, And, Bc, Bexp, Com, If, Less, N, Not, Plus, Seq, Set, Skip, V, While
-
-KEYWORDS = frozenset({"SKIP", "IF", "THEN", "ELSE", "FI", "WHILE", "DO", "OD", "true", "false"})
+from .imp import KEYWORDS, Aexp, And, Bc, Bexp, Com, If, Less, N, Not, Plus, Seq, Set, Skip, V, While
 
 # One match per token: whitespace and comments, then the token's text in
 # group 1.  At a character that starts no token, group 2 takes the rest of

@@ -69,7 +69,6 @@ SEMANTICS: dict[str, Callable[[Com, Store, int], object]] = {
     "cval_guard": cval_guard,
     "cval_tick": cval_tick,
 }
-ENV_SEMANTICS = frozenset({"ev", "ev_min"})
 
 PROPERTY_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "RT")
 
@@ -77,6 +76,8 @@ ORACLE_CAP = 10_000
 TIMEOUT_FUEL_CEILING = 256
 _P5_TRACE_CAP = 4096
 _P5_EXTRA_STORES = 32
+_MAX_SIZE = 12  # size bound of every generated campaign program
+_VARS = ("x", "y", "z")
 
 
 def search_bound(steps: int, program_size: int) -> int:
@@ -155,16 +156,10 @@ class GenConfig:
     """
 
     seed: int
-    max_size: int = 12
-    var_pool: tuple[str, ...] = ("x", "y", "z")
     literal_range: tuple[int, int] = (-4, 4)
     loop_bias: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_size < 1:
-            raise ValueError("max_size must be positive")
-        if not self.var_pool:
-            raise ValueError("var_pool must be non-empty")
         lo, hi = self.literal_range
         if lo > hi:
             raise ValueError("literal_range must be non-empty")
@@ -177,12 +172,12 @@ def _gen_aexp(rng: SplitMix64, cfg: GenConfig, depth: int) -> Aexp:
     if depth <= 0 or rng.below(3) == 0:
         if rng.below(2) == 0:
             return N(rng.randint(lo, hi))
-        return V(rng.choice(cfg.var_pool))
+        return V(rng.choice(_VARS))
     pick = rng.below(3)
     if pick == 0:
         return N(rng.randint(lo, hi))
     if pick == 1:
-        return V(rng.choice(cfg.var_pool))
+        return V(rng.choice(_VARS))
     return Plus(_gen_aexp(rng, cfg, depth - 1), _gen_aexp(rng, cfg, depth - 1))
 
 
@@ -203,7 +198,7 @@ def _gen_bexp(rng: SplitMix64, cfg: GenConfig, depth: int) -> Bexp:
 
 def _counting_loop(rng: SplitMix64, cfg: GenConfig) -> While:
     # Terminating template: count a fresh variable up to a fresh literal.
-    x = rng.choice(cfg.var_pool)
+    x = rng.choice(_VARS)
     lo, hi = cfg.literal_range
     k = rng.randint(lo, hi)
     return While(Less(V(x), N(k)), Set(x, Plus(V(x), N(1))))
@@ -225,7 +220,7 @@ def _gen_com(rng: SplitMix64, cfg: GenConfig, budget: int) -> Com:
     if tag == "skip":
         return Skip()
     if tag == "set":
-        return Set(rng.choice(cfg.var_pool), _gen_aexp(rng, cfg, 2))
+        return Set(rng.choice(_VARS), _gen_aexp(rng, cfg, 2))
     if tag == "while":
         if rng.chance(cfg.loop_bias):
             return _counting_loop(rng, cfg)
@@ -246,7 +241,7 @@ def gen_com(cfg: GenConfig, budget: int) -> Com:
 
 def _gen_store(rng: SplitMix64, cfg: GenConfig) -> Store:
     lo, hi = cfg.literal_range
-    return Store({x: rng.randint(lo, hi) for x in cfg.var_pool})
+    return Store({x: rng.randint(lo, hi) for x in _VARS})
 
 
 def _gen_fuel(rng: SplitMix64) -> int:
@@ -259,7 +254,7 @@ def _gen_fuel(rng: SplitMix64) -> int:
 
 
 def gen_store(cfg: GenConfig) -> Store:
-    """Deterministic random store over the configured variable pool."""
+    """Deterministic random store over x, y and z."""
     return _gen_store(SplitMix64(mix64(cfg.seed ^ 0x5353)), cfg)
 
 
@@ -371,13 +366,12 @@ _CheckOutcome = Union[None, object, tuple[str, str]]
 _Checker = Callable[[dict[str, object]], _CheckOutcome]
 
 
-def _render_env(r: EnvResult) -> str:
-    return "timeout" if r is None else f"final {r.to_dict()}"
-
-
-def _render_state(r: StateResult) -> str:
+def _render(r: Union[EnvResult, StateResult]) -> str:
+    """A passed-down clock's bare store, or a threaded clock's (store, leftover)."""
     if r is None:
         return "timeout"
+    if isinstance(r, Store):
+        return f"final {r.to_dict()}"
     return f"final ({r[0].to_dict()}, leftover {r[1]})"
 
 
@@ -403,7 +397,7 @@ def _check_p2(inp: dict[str, object]) -> _CheckOutcome:
     r = cval(c, s, t)
     wrapped = fix_clock(t, r)
     if wrapped != r:
-        return (f"fix_clock({t}, r) == r where r = {_render_state(r)}", _render_state(wrapped))
+        return (f"fix_clock({t}, r) == r where r = {_render(r)}", _render(wrapped))
     return None
 
 
@@ -412,7 +406,7 @@ def _check_p3(inp: dict[str, object]) -> _CheckOutcome:
     a = cval(c, s, t)
     b = cval_guard(c, s, t)
     if a != b:
-        return (f"cval_guard == cval == {_render_state(a)}", _render_state(b))
+        return (f"cval_guard == cval == {_render(a)}", _render(b))
     return None
 
 
@@ -425,7 +419,7 @@ def _check_p4(inp: dict[str, object]) -> _CheckOutcome:
     lhs = ev_min(_padded(p, q), s, t)
     rhs = ev_min(Seq(p, q), s, t)
     if lhs != rhs:
-        return (f"padded == plain == {_render_env(rhs)}", _render_env(lhs))
+        return (f"padded == plain == {_render(rhs)}", _render(lhs))
     return None
 
 
@@ -445,8 +439,8 @@ def _check_p5(inp: dict[str, object]) -> _CheckOutcome:
     rhs = ev(Seq(p, q), s, t)
     if lhs != rhs:
         return (
-            f"padded == plain == {_render_env(rhs)} (premises held on {len(sample)} stores)",
-            _render_env(lhs),
+            f"padded == plain == {_render(rhs)} (premises held on {len(sample)} stores)",
+            _render(lhs),
         )
     return None
 
@@ -458,7 +452,7 @@ def _check_p6(inp: dict[str, object]) -> _CheckOutcome:
         if r is not None:
             r2 = fn(c, s, t + k)
             if r2 != r:
-                return (f"{name} at fuel {t + k} == {_render_env(r)}", _render_env(r2))
+                return (f"{name} at fuel {t + k} == {_render(r)}", _render(r2))
     return None
 
 
@@ -468,7 +462,7 @@ def _check_p7(inp: dict[str, object]) -> _CheckOutcome:
     if r is not None:
         r2 = ev_min(c, s, t)
         if r2 != r:
-            return (f"ev_min at fuel {t} == {_render_env(r)}", _render_env(r2))
+            return (f"ev_min at fuel {t} == {_render(r)}", _render(r2))
     return None
 
 
@@ -484,7 +478,7 @@ def _check_p8a(inp: dict[str, object]) -> _CheckOutcome:
                 if rk != (s1, t1 + k):
                     return (
                         f"P8a: {name} at fuel {t + k} == final ({s1.to_dict()}, leftover {t1 + k})",
-                        _render_state(rk),
+                        _render(rk),
                     )
     return None
 
@@ -495,7 +489,7 @@ def _check_p8b(inp: dict[str, object]) -> _CheckOutcome:
     if r is not None:
         r2 = ev_min(c, s, t)
         if r2 != r[0]:
-            return (f"P8b: ev_min at fuel {t} == final {r[0].to_dict()}", _render_env(r2))
+            return (f"P8b: ev_min at fuel {t} == final {r[0].to_dict()}", _render(r2))
     return None
 
 
@@ -508,7 +502,7 @@ def _check_p8c(inp: dict[str, object]) -> _CheckOutcome:
             r = fn(c, s, t)
             if r is None:
                 continue
-            store = r if name in ENV_SEMANTICS else r[0]
+            store = r if isinstance(r, Store) else r[0]
             finals.append((name, t, store))
     for name, t, store in finals[1:]:
         ref_name, ref_t, ref_store = finals[0]
@@ -537,7 +531,7 @@ def p9_agreement(c: Com, s: Store, outcome: Terminated, while_steps: int) -> Opt
 
     r = cval(c, s, n + 1)
     if r is None or r[0] != s_fin:
-        return (f"cval at fuel {n + 1} reaches {want}", _render_state(r))
+        return (f"cval at fuel {n + 1} reaches {want}", _render(r))
     unfolds = (n + 1) - r[1]
     if not unfolds <= while_steps <= n:
         return (
@@ -547,7 +541,7 @@ def p9_agreement(c: Com, s: Store, outcome: Terminated, while_steps: int) -> Opt
 
     r2 = ev_min(c, s, n + 1)
     if r2 != s_fin:
-        return (f"ev_min at fuel {n + 1} reaches {want}", _render_env(r2))
+        return (f"ev_min at fuel {n + 1} reaches {want}", _render(r2))
 
     bound = search_bound(n, size(c))
     for sem in ("ev", "cval_tick"):
@@ -555,7 +549,7 @@ def p9_agreement(c: Com, s: Store, outcome: Terminated, while_steps: int) -> Opt
         if found is None:
             return (f"{sem} found within fuel {bound}", "not found")
         _, res = found
-        store = res if sem in ENV_SEMANTICS else res[0]
+        store = res if isinstance(res, Store) else res[0]
         if store != s_fin:
             return (f"{sem} search reaches {want}", f"final {store.to_dict()}")
     return None
@@ -578,8 +572,7 @@ def _check_p10(inp: dict[str, object]) -> _CheckOutcome:
         for name, fn in SEMANTICS.items():
             r = fn(c, s, fuel)
             if r is not None:
-                rendered = _render_env(r) if name in ENV_SEMANTICS else _render_state(r)
-                return (f"{name} times out at every fuel <= {TIMEOUT_FUEL_CEILING}", f"{name} at fuel {fuel}: {rendered}")
+                return (f"{name} times out at every fuel <= {TIMEOUT_FUEL_CEILING}", f"{name} at fuel {fuel}: {_render(r)}")
     return None
 
 
@@ -597,7 +590,7 @@ def _check_rt(inp: dict[str, object]) -> _CheckOutcome:
 
 def _gen_triple(rng: SplitMix64, cfg: GenConfig) -> dict[str, object]:
     return {
-        "program": _gen_com(rng, cfg, cfg.max_size),
+        "program": _gen_com(rng, cfg, _MAX_SIZE),
         "store": _gen_store(rng, cfg),
         "fuel": _gen_fuel(rng),
     }
@@ -608,15 +601,15 @@ def _gen_case(property_id: str, rng: SplitMix64, cfg: GenConfig) -> tuple[dict[s
         return _gen_triple(rng, cfg), {"P1": _check_p1, "P2": _check_p2, "P3": _check_p3}[property_id]
     if property_id == "P4":
         return {
-            "first": _gen_com(rng, cfg, cfg.max_size),
-            "second": _gen_com(rng, cfg, cfg.max_size),
+            "first": _gen_com(rng, cfg, _MAX_SIZE),
+            "second": _gen_com(rng, cfg, _MAX_SIZE),
             "store": _gen_store(rng, cfg),
             "fuel": _gen_fuel(rng),
         }, _check_p4
     if property_id == "P5":
         return {
-            "first": _gen_com(rng, cfg, cfg.max_size),
-            "second": _gen_com(rng, cfg, cfg.max_size),
+            "first": _gen_com(rng, cfg, _MAX_SIZE),
+            "second": _gen_com(rng, cfg, _MAX_SIZE),
             "store": _gen_store(rng, cfg),
             "fuel": rng.randint(3, 64),
             "premise_stores": tuple(_gen_store(rng, cfg) for _ in range(_P5_EXTRA_STORES)),
@@ -635,11 +628,11 @@ def _gen_case(property_id: str, rng: SplitMix64, cfg: GenConfig) -> tuple[dict[s
         return inp, _check_p8
     if property_id in ("P9", "P10"):
         return {
-            "program": _gen_com(rng, cfg, cfg.max_size),
+            "program": _gen_com(rng, cfg, _MAX_SIZE),
             "store": _gen_store(rng, cfg),
         }, _check_p9 if property_id == "P9" else _check_p10
     if property_id == "RT":
-        return {"program": _gen_com(rng, cfg, cfg.max_size)}, _check_rt
+        return {"program": _gen_com(rng, cfg, _MAX_SIZE)}, _check_rt
     raise ValueError(f"unknown property id: {property_id!r}")
 
 
@@ -714,8 +707,6 @@ def _com_shrinks(c: Com) -> Iterator[Com]:
 
 
 def _value_shrinks(v: object) -> Iterator[object]:
-    if isinstance(v, bool):
-        return
     if isinstance(v, int):
         seen = set()
         for cand in (0, v // 2, v - 1):
@@ -835,8 +826,6 @@ def replay_case(property_id: str, cfg: GenConfig, case_index: int) -> tuple[dict
     Returns the rendered inputs and "pass", "skip", or "fail: ..." so a
     reported failure can be reproduced in isolation.
     """
-    if property_id not in PROPERTY_IDS:
-        raise ValueError(f"unknown property id: {property_id!r}")
     rng = case_stream(cfg.seed, case_index)
     inputs, check = _gen_case(property_id, rng, cfg)
     outcome = check(inputs)
@@ -851,7 +840,6 @@ def replay_case(property_id: str, cfg: GenConfig, case_index: int) -> tuple[dict
 
 __all__ = [
     "ENUM_STORES",
-    "ENV_SEMANTICS",
     "Failure",
     "GenConfig",
     "ORACLE_CAP",

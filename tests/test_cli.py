@@ -233,6 +233,18 @@ def test_non_ascii_input_is_a_one_line_parse_error(tmp_path, src, where, char):
     assert p.stderr == f"{path}:{where}: unexpected character {char!r}\n"
 
 
+@pytest.mark.parametrize("argv", [["parse"], ["run", "--sem", "cval", "--fuel", "3"], ["trace"]])
+def test_file_that_is_not_utf8_is_one_stderr_line(tmp_path, capsys, argv):
+    path = tmp_path / "bad.imp"
+    path.write_bytes(b"x := 1 \xff\n")
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"clockwork: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
+    )
+
+
 def test_run_usage_errors_exit_1():
     p = run_cli("run", LOOP, "--sem", "cval", "--fuel", "nope")
     assert p.returncode == 1
@@ -276,6 +288,8 @@ _BAD_INT = "invalid literal for int() with base 10"
         (["check", "P1", "--cases", "3"], "٤٢", 1, "clockwork: CLOCKWORK_SEED must be an integer"),
         (["check", "P1", "--cases", "3"], "4_2", 1, "clockwork: CLOCKWORK_SEED must be an integer"),
         (["check", "P1", "--cases", "3"], "42", 0, None),
+        (["run", LOOP, "--sem", "cval", "--fuel", "5", "--init", "WHILE=2"], None, 1, "clockwork: bad --init: variable name is a keyword: 'WHILE'"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "5", "--init", "x=1,true=1"], None, 1, "clockwork: bad --init: variable name is a keyword: 'true'"),
     ],
 )
 def test_integer_options_are_ascii_decimal(monkeypatch, capsys, argv, env_seed, code, err_tail):
@@ -363,7 +377,7 @@ def test_trace_lines_equal_config_render_on_generated_programs(tmp_path, capsys)
     cap = 300
     shapes = {"left": 0, "right": 0}
     for seed in range(1000):
-        gen = GenConfig(seed=seed, max_size=30)
+        gen = GenConfig(seed=seed)
         com, store = gen_com(gen, 30), gen_store(gen)
         for shape in _seq_shapes(com):
             shapes[shape] += 1

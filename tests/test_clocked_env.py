@@ -21,7 +21,7 @@ LOOP = While(Less(V("x"), N(3)), BODY)
 
 
 def _cases(n=60, seed=11, budget=8):
-    cfg = GenConfig(seed=seed, max_size=budget)
+    cfg = GenConfig(seed=seed)
     for k in range(n):
         rng = case_stream(seed, k)
         yield _gen_com(rng, cfg, budget), _gen_store(rng, cfg), _gen_fuel(rng)
@@ -184,7 +184,7 @@ TWINS = [(ev, True), (ev_min, False)]
 def test_least_fuel_agrees_with_evaluator_and_bisection(fn, every_step):
     # longer counting loops than the default, so ev_min often needs fuel
     seed, budget = 31, 14
-    cfg = GenConfig(seed=seed, max_size=budget, literal_range=(-4, 16), loop_bias=0.8)
+    cfg = GenConfig(seed=seed, literal_range=(-4, 16), loop_bias=0.8)
     finals = fueled = timeouts = 0
     for k in range(3000):
         rng = case_stream(seed, k)

@@ -17,7 +17,7 @@ WORKED = parse_com("x := 0 ; WHILE x < 3 DO x := x + 1 OD")
 
 
 def _cases(n=60, seed=31, budget=8):
-    cfg = GenConfig(seed=seed, max_size=budget)
+    cfg = GenConfig(seed=seed)
     for k in range(n):
         rng = case_stream(seed, k)
         yield _gen_com(rng, cfg, budget), _gen_store(rng, cfg), _gen_fuel(rng)

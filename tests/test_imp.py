@@ -170,16 +170,19 @@ def test_variable_name_validation_in_ast():
     with pytest.raises(ValueError):
         Set("x y", N(1))
     V("x_1")  # fine
+    with pytest.raises(ValueError, match="variable name is a keyword: 'IF'"):
+        Set("IF", N(1))  # would print as `IF := 1`, which does not parse
 
 
 def test_name_check_accepts_exactly_the_identifier_language():
-    # reference: the regex the check replaced
+    # reference: the regex the check replaced, minus the keywords
     pattern = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
+    keywords = {"SKIP", "IF", "THEN", "ELSE", "FI", "WHILE", "DO", "OD", "true", "false"}
     alphabet = "aZ0_é\n-"
-    names = ["", "_x", "1x", "a\n", "SKIP", "²", "ab١"]
+    names = ["", "_x", "1x", "a\n", "²", "ab١", "Skip", "iF", "DOx", "True", "falsey"] + sorted(keywords)
     names += ["".join(p) for k in (1, 2, 3) for p in itertools.product(alphabet, repeat=k)]
     for name in names:
-        valid = pattern.match(name) is not None
+        valid = pattern.match(name) is not None and name not in keywords
         for make in (V, lambda n: Set(n, N(1)), lambda n: Store({n: 1})):
             if valid:
                 make(name)
