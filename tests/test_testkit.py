@@ -2,10 +2,30 @@
 
 import hashlib
 import json
+from typing import Union, get_args
 
 import pytest
 
-from clockwork.imp import If, N, Plus, Seq, Set, Skip, Store, V, While, size
+from clockwork.imp import (
+    Aexp,
+    And,
+    Bc,
+    Bexp,
+    Com,
+    If,
+    Less,
+    N,
+    Not,
+    Plus,
+    Seq,
+    Set,
+    Skip,
+    Store,
+    V,
+    While,
+    pretty,
+    size,
+)
 from clockwork.parser import parse_com
 from clockwork.testkit import (
     PROPERTY_IDS,
@@ -16,6 +36,7 @@ from clockwork.testkit import (
     _gen_case,
     _render_inputs,
     _shrink,
+    _value_shrinks,
     case_stream,
     enumerate_coms,
     fuel_search,
@@ -280,6 +301,152 @@ def test_shrinker_shrinks_literals_toward_zero():
     inputs = {"program": Set("x", Plus(N(40), V("y")))}
     shrunk = _shrink(inputs, fails_on_any_set)
     assert shrunk["program"] == Set("x", Plus(N(0), V("y")))
+
+
+def _node_candidates(node):
+    # A node's own shrinks, read through the command shrinker: an expression
+    # sits in a one-node command whose only other candidate is the SKIP first.
+    if isinstance(node, get_args(Com)):
+        return list(_value_shrinks(node))
+    if isinstance(node, get_args(Aexp)):
+        wrapped, field = Set("x", node), "expr"
+    else:
+        wrapped, field = While(node, Skip()), "guard"
+    cands = list(_value_shrinks(wrapped))
+    assert cands[0] == Skip()
+    return [getattr(c, field) for c in cands[1:]]
+
+
+_W_GUARD = Less(V("x"), N(2))
+_W_BODY = Set("x", Plus(V("x"), N(1)))
+
+# one small instance per node type and its exact candidate list, in order
+_NODE_SHRINK_TABLE = [
+    (N(-3), [N(0), N(-1)]),
+    (V("x"), []),
+    (Plus(N(4), V("x")), [Plus(N(0), V("x")), Plus(N(2), V("x"))]),
+    (Bc(True), []),
+    (Not(Less(N(2), V("y"))), [Not(Less(N(0), V("y"))), Not(Less(N(1), V("y")))]),
+    (
+        And(Bc(False), Less(V("x"), N(-3))),
+        [And(Bc(False), Less(V("x"), N(0))), And(Bc(False), Less(V("x"), N(-1)))],
+    ),
+    (
+        Less(N(3), N(-2)),
+        [Less(N(0), N(-2)), Less(N(1), N(-2)), Less(N(3), N(0)), Less(N(3), N(-1))],
+    ),
+    (Skip(), []),
+    (Set("x", N(6)), [Skip(), Set("x", N(0)), Set("x", N(3))]),
+    (Seq(Set("x", N(1)), Skip()), [Skip(), Seq(Skip(), Skip()), Seq(Set("x", N(0)), Skip())]),
+    (
+        If(Bc(True), Skip(), Set("y", N(2))),
+        [
+            Skip(),
+            If(Bc(True), Skip(), Skip()),
+            If(Bc(True), Skip(), Set("y", N(0))),
+            If(Bc(True), Skip(), Set("y", N(1))),
+        ],
+    ),
+    (
+        While(_W_GUARD, _W_BODY),
+        [
+            Skip(),
+            While(Less(V("x"), N(0)), _W_BODY),
+            While(Less(V("x"), N(1)), _W_BODY),
+            While(_W_GUARD, Skip()),
+            While(_W_GUARD, Set("x", Plus(V("x"), N(0)))),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("node, expected", _NODE_SHRINK_TABLE, ids=lambda v: type(v).__name__)
+def test_node_shrinks_pinned(node, expected):
+    assert _node_candidates(node) == expected
+
+
+def test_node_shrink_table_has_one_row_per_node_type():
+    node_types = get_args(Union[Aexp, Bexp, Com])
+    assert len(node_types) == 12
+    assert sorted(type(node).__name__ for node, _ in _NODE_SHRINK_TABLE) == sorted(
+        cls.__name__ for cls in node_types
+    )
+
+
+def _program_inputs(pid, seed, cases):
+    cfg = GenConfig(seed=seed)
+    for k in range(cases):
+        inputs, _ = _gen_case(pid, case_stream(seed, k), cfg)
+        yield from (v for v in inputs.values() if isinstance(v, get_args(Com)))
+
+
+# sha256 of the JSON list, per program input of cases 0..99 at seed 42, of
+# the pretty-printed candidates of _value_shrinks; computed before the
+# shrinker was derived from the node classes, and unchanged by it.  Every
+# property but P4 and P5 draws one program first from the same stream.
+_SHRINK_DIGESTS = {
+    "P1": "5200f72a7c76b22ed586a4ee36ae8d1303dcd5e7131e152a9f4ae7c6ef77800a",
+    "P2": "5200f72a7c76b22ed586a4ee36ae8d1303dcd5e7131e152a9f4ae7c6ef77800a",
+    "P3": "5200f72a7c76b22ed586a4ee36ae8d1303dcd5e7131e152a9f4ae7c6ef77800a",
+    "P4": "78e508488dc12e7686a671adce5e801afbc02df15f9835eb0ce2608dbf6e03da",
+    "P5": "78e508488dc12e7686a671adce5e801afbc02df15f9835eb0ce2608dbf6e03da",
+    "P6": "5200f72a7c76b22ed586a4ee36ae8d1303dcd5e7131e152a9f4ae7c6ef77800a",
+    "P7": "5200f72a7c76b22ed586a4ee36ae8d1303dcd5e7131e152a9f4ae7c6ef77800a",
+    "P8": "5200f72a7c76b22ed586a4ee36ae8d1303dcd5e7131e152a9f4ae7c6ef77800a",
+    "P9": "5200f72a7c76b22ed586a4ee36ae8d1303dcd5e7131e152a9f4ae7c6ef77800a",
+    "P10": "5200f72a7c76b22ed586a4ee36ae8d1303dcd5e7131e152a9f4ae7c6ef77800a",
+    "RT": "5200f72a7c76b22ed586a4ee36ae8d1303dcd5e7131e152a9f4ae7c6ef77800a",
+}
+
+
+@pytest.mark.parametrize("pid", PROPERTY_IDS)
+def test_shrink_candidates_pinned(pid):
+    cands = [[pretty(c) for c in _value_shrinks(p)] for p in _program_inputs(pid, 42, 100)]
+    assert hashlib.sha256(json.dumps(cands).encode()).hexdigest() == _SHRINK_DIGESTS[pid]
+
+
+def _final_x_above_1_sets_z(real):
+    def mutant(c, s, t):
+        r = real(c, s, t)
+        return r.set("z", 7) if r is not None and r.get("x") > 1 else r
+
+    return mutant
+
+
+def _leftover_invented_above_4(real):
+    def mutant(c, s, t):
+        r = real(c, s, t)
+        return (r[0], t + 1) if r is not None and t > 4 else r
+
+    return mutant
+
+
+# (property, seed, patched evaluator, mutant) -> failing cases and the sha256
+# of the JSON list of (case, rendered shrunk inputs) of 300 cases; computed
+# before the shrinker was derived from the node classes, and unchanged by it.
+_MUTANT_SHRINK_DIGESTS = [
+    ("P2", 42, "cval", _leftover_invented_above_4, 197, "77d59ab12d77830ff65b1ad5643acff5b3285c2e233aac99acef39353f7fe5c8"),
+    ("P6", 3, "ev", _final_x_above_1_sets_z, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("P7", 3, "ev", _final_x_above_1_sets_z, 65, "e760e2ab17164e42c632d5bb259e59874d82f83a9f81f12b0e639cd6863b1ea6"),
+    ("P8", 3, "ev", _final_x_above_1_sets_z, 77, "f0f63202350edb0e8c8869c8ff07b1f646244b7d5a27325c5e09b1196493f165"),
+]
+
+
+@pytest.mark.parametrize(
+    "pid, seed, name, make_mutant, n_failing, digest",
+    _MUTANT_SHRINK_DIGESTS,
+    ids=[row[0] for row in _MUTANT_SHRINK_DIGESTS],
+)
+def test_mutant_shrunk_inputs_pinned(monkeypatch, pid, seed, name, make_mutant, n_failing, digest):
+    import clockwork.testkit as tk
+
+    mutant = make_mutant(getattr(tk, name))
+    monkeypatch.setattr(tk, name, mutant)
+    monkeypatch.setitem(tk.SEMANTICS, name, mutant)
+    report = run_property(pid, GenConfig(seed=seed), 300)
+    shrunk = [(f.case_index, f.shrunk) for f in report.failures]
+    assert len(shrunk) == n_failing
+    assert hashlib.sha256(json.dumps(shrunk).encode()).hexdigest() == digest
 
 
 def test_failure_records_are_replayable():
