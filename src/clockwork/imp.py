@@ -25,6 +25,11 @@ def _check_name(name: str) -> None:
         raise ValueError(f"variable name is a keyword: {name!r}")
 
 
+def _is_int(value: object) -> bool:
+    """Literals and store values are Python ints, but not bools."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # --------------------------------------------------------------------------
 # Arithmetic expressions
 
@@ -34,6 +39,10 @@ class N:
     """Integer literal."""
 
     value: int
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.value):
+            raise ValueError(f"integer literal must be an int: {self.value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +73,10 @@ class Bc:
     """Boolean constant."""
 
     value: bool
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.value, bool):
+            raise ValueError(f"boolean constant must be a bool: {self.value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +161,7 @@ class Store:
         if bindings:
             for name, value in bindings.items():
                 _check_name(name)
-                if not isinstance(value, int) or isinstance(value, bool):
+                if not _is_int(value):
                     raise ValueError(f"store value for {name!r} must be an int")
                 if value != 0:
                     m[name] = value
@@ -164,7 +177,15 @@ class Store:
         return self._m.get(name, default)
 
     def set(self, name: str, value: int) -> "Store":
-        """Functional update; the receiver is unchanged."""
+        """Functional update; the receiver is unchanged.
+
+        Takes the names and values the constructor takes.  A bound name was
+        checked on its way in, so only an unbound one is checked here.
+        """
+        if not _is_int(value):
+            raise ValueError(f"store value for {name!r} must be an int")
+        if name not in self._m:
+            _check_name(name)
         m = dict(self._m)
         if value == 0:
             m.pop(name, None)

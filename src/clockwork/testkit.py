@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union, get_args
 
 from .clocked_env import EnvResult, ev, ev_min
 from .clocked_state import StateResult, cval, cval_guard, cval_tick, fix_clock
@@ -647,63 +647,34 @@ _DETAILS: dict[str, dict[str, object]] = {
 # Shrinking
 
 
-def _aexp_shrinks(a: Aexp) -> Iterator[Aexp]:
-    cls = type(a)
+_Node = Union[Aexp, Bexp, Com]
+_NODE_TYPES = get_args(_Node)
+
+
+def _int_shrinks(v: int) -> Iterator[int]:
+    """Toward zero: 0, then v halved toward zero unless that is 0 as well."""
+    if v != 0:
+        yield 0
+        half = v // 2 if v > 0 else -((-v) // 2)
+        if half != 0:
+            yield half
+
+
+def _node_shrinks(node: _Node) -> Iterator[_Node]:
+    """SKIP for a command other than SKIP, a literal toward zero, then for
+    each field that is a node, left to right, the node rebuilt with that
+    field replaced by each of its own shrinks."""
+    cls = type(node)
+    if isinstance(node, Com) and cls is not Skip:
+        yield Skip()
     if cls is N:
-        if a.value != 0:
-            yield N(0)
-            half = a.value // 2 if a.value > 0 else -((-a.value) // 2)
-            if half not in (0, a.value):
-                yield N(half)
-    elif cls is Plus:
-        for left in _aexp_shrinks(a.left):
-            yield Plus(left, a.right)
-        for right in _aexp_shrinks(a.right):
-            yield Plus(a.left, right)
-
-
-def _bexp_shrinks(b: Bexp) -> Iterator[Bexp]:
-    cls = type(b)
-    if cls is Not:
-        for arg in _bexp_shrinks(b.arg):
-            yield Not(arg)
-    elif cls is And:
-        for left in _bexp_shrinks(b.left):
-            yield And(left, b.right)
-        for right in _bexp_shrinks(b.right):
-            yield And(b.left, right)
-    elif cls is Less:
-        for left in _aexp_shrinks(b.left):
-            yield Less(left, b.right)
-        for right in _aexp_shrinks(b.right):
-            yield Less(b.left, right)
-
-
-def _com_shrinks(c: Com) -> Iterator[Com]:
-    cls = type(c)
-    if cls is Skip:
-        return
-    yield Skip()
-    if cls is Set:
-        for e in _aexp_shrinks(c.expr):
-            yield Set(c.var, e)
-    elif cls is Seq:
-        for first in _com_shrinks(c.first):
-            yield Seq(first, c.second)
-        for second in _com_shrinks(c.second):
-            yield Seq(c.first, second)
-    elif cls is If:
-        for g in _bexp_shrinks(c.guard):
-            yield If(g, c.then_branch, c.else_branch)
-        for t in _com_shrinks(c.then_branch):
-            yield If(c.guard, t, c.else_branch)
-        for e in _com_shrinks(c.else_branch):
-            yield If(c.guard, c.then_branch, e)
-    elif cls is While:
-        for g in _bexp_shrinks(c.guard):
-            yield While(g, c.body)
-        for body in _com_shrinks(c.body):
-            yield While(c.guard, body)
+        for v in _int_shrinks(node.value):
+            yield N(v)
+    args = [getattr(node, name) for name in cls.__match_args__]
+    for i, arg in enumerate(args):
+        if isinstance(arg, _NODE_TYPES):
+            for new in _node_shrinks(arg):
+                yield cls(*args[:i], new, *args[i + 1 :])
 
 
 def _value_shrinks(v: object) -> Iterator[object]:
@@ -716,10 +687,8 @@ def _value_shrinks(v: object) -> Iterator[object]:
         return
     if isinstance(v, Store):
         for name in v.names():
-            yield v.set(name, 0)
-            half = v.get(name) // 2 if v.get(name) > 0 else -((-v.get(name)) // 2)
-            if half != v.get(name):
-                yield v.set(name, half)
+            for nv in _int_shrinks(v.get(name)):
+                yield v.set(name, nv)
         return
     if isinstance(v, tuple):
         if all(isinstance(x, int) for x in v):
@@ -730,8 +699,8 @@ def _value_shrinks(v: object) -> Iterator[object]:
             for i in range(len(v)):
                 yield v[:i] + v[i + 1 :]
         return
-    if isinstance(v, (Skip, Set, Seq, If, While)):
-        yield from _com_shrinks(v)
+    if isinstance(v, Com):
+        yield from _node_shrinks(v)
 
 
 def _shrink_candidates(inputs: dict[str, object]) -> Iterator[dict[str, object]]:
@@ -761,7 +730,7 @@ def _shrink(inputs: dict[str, object], check: _Checker) -> dict[str, object]:
 
 
 def _render_value(v: object) -> object:
-    if isinstance(v, (Skip, Set, Seq, If, While)):
+    if isinstance(v, Com):
         return pretty(v)
     if isinstance(v, Store):
         return v.to_dict()

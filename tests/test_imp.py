@@ -24,6 +24,7 @@ from clockwork.imp import (
     pretty,
     size,
 )
+from clockwork.parser import parse_com
 from clockwork.testkit import GenConfig, SplitMix64, gen_com
 
 
@@ -160,6 +161,38 @@ def test_store_validates_names_and_values():
         Store({"": 1})
     with pytest.raises(ValueError):
         Store({"x": True})
+
+
+@pytest.mark.parametrize("name, value", [("IF", 1), ("1x", 2), ("_x", 3), ("x", True), ("x", 1.5)])
+def test_store_set_rejects_what_the_constructor_rejects(name, value):
+    with pytest.raises(ValueError):
+        Store({name: value})
+    for receiver in (Store(), Store({"x": 4, "y": 1})):
+        with pytest.raises(ValueError):
+            receiver.set(name, value)
+
+
+def test_store_set_updates_a_bound_name():
+    s = Store({"x": 4})
+    assert s.set("x", -2) == Store({"x": -2})
+    assert s.set("x", 0).set("y", 1) == Store({"y": 1})
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [(N, True), (N, False), (N, 1.5), (N, "3"), (N, None), (Bc, 1), (Bc, 0), (Bc, "true"), (Bc, None)],
+)
+def test_literals_take_only_their_own_type(make, value):
+    # N(True) would print as `x := True`, which parses as the variable True;
+    # N(1.5) would print as text that does not parse at all
+    with pytest.raises(ValueError):
+        make(value)
+
+
+@pytest.mark.parametrize("value", [0, -1, 7, -(10**30)])
+def test_literal_edges_round_trip(value):
+    c = While(Not(Bc(value > 0)), Set("x", Plus(N(value), V("x"))))
+    assert parse_com(pretty(c)) == c
 
 
 def test_variable_name_validation_in_ast():

@@ -449,6 +449,46 @@ def test_mutant_shrunk_inputs_pinned(monkeypatch, pid, seed, name, make_mutant, 
     assert hashlib.sha256(json.dumps(shrunk).encode()).hexdigest() == digest
 
 
+_NODE_TYPES = get_args(Union[Aexp, Bexp, Com])
+
+
+def _measure(node):
+    # (node count over all twelve node types, sum of |literal|)
+    count = lits = 0
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        count += 1
+        if type(n) is N:
+            lits += abs(n.value)
+        fields = [getattr(n, f) for f in n.__match_args__]
+        todo += [f for f in fields if isinstance(f, _NODE_TYPES)]
+    return (count, lits)
+
+
+def test_every_shrink_candidate_is_strictly_smaller():
+    # _shrink's greedy descent terminates because each candidate lowers
+    # this well-founded lexicographic measure
+    programs = {p for pid in PROPERTY_IDS for p in _program_inputs(pid, 42, 300)}
+    checked = 0
+    for p in programs:
+        m = _measure(p)
+        for cand in _value_shrinks(p):
+            assert _measure(cand) < m, (pretty(p), pretty(cand))
+            checked += 1
+    assert (len(programs), checked) == (422, 4_013)  # 3,900 inputs, 28,919 candidates
+
+
+def test_store_shrinks_are_distinct():
+    # a value of 1 or -1 shrinks to 0 once, not twice
+    assert list(_value_shrinks(Store({"x": 1, "y": -1, "z": 4}))) == [
+        Store({"y": -1, "z": 4}),
+        Store({"x": 1, "z": 4}),
+        Store({"x": 1, "y": -1}),
+        Store({"x": 1, "y": -1, "z": 2}),
+    ]
+
+
 def test_failure_records_are_replayable():
     # regenerating the same case yields identical inputs
     cfg = GenConfig(seed=42)
