@@ -292,7 +292,15 @@ def pretty_aexp(a: Aexp) -> str:
     if cls is V:
         return a.name
     # '+' associates to the left, so only the right operand needs parens.
-    return f"{pretty_aexp(a.left)} + {_aexp_term(a.right)}"
+    if type(a.left) is not Plus:
+        return f"{pretty_aexp(a.left)} + {_aexp_term(a.right)}"
+    # Iterate down a longer left spine, so a long '+' chain needs no recursion.
+    terms = []
+    while type(a) is Plus:
+        terms.append(_aexp_term(a.right))
+        a = a.left
+    terms.append(pretty_aexp(a))
+    return " + ".join(reversed(terms))
 
 
 def _aexp_term(a: Aexp) -> str:

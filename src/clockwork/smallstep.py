@@ -12,6 +12,15 @@ step relation is deterministic:
 This module deliberately shares nothing with the clocked evaluators
 beyond the syntax and aval/bval: iterating ``step`` is an independent
 path to final stores and trace lengths.
+
+``step`` and ``iter_trace`` state the relation literally and are the
+reference: each step walks the left Seq spine down to the redex and
+rebuilds it, O(depth).  ``run_oracle_stats`` (and ``run_oracle`` over
+it) refocuses instead (Danvy & Nielsen, "Refocusing in reduction
+semantics", 2004): it keeps the pending right siblings of that spine as
+an explicit context across steps and decomposes only each new
+contractum, so it takes the same steps, in the same order, in time
+linear in their number.
 """
 
 from __future__ import annotations
@@ -118,6 +127,11 @@ def _step_parts(c: Com, s: Store) -> tuple[Com, Store, bool]:
     return c, s, unfolded
 
 
+def _check_cap(cap: int) -> None:
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise ValueError(f"step cap must be a positive integer, got {cap!r}")
+
+
 def step(cfg: Config) -> Optional[Config]:
     """The unique successor of `cfg`, or None when `cfg` is terminal."""
     if type(cfg.com) is Skip:
@@ -133,8 +147,7 @@ def iter_trace(c: Com, s: Store, cap: int) -> Iterator[Config]:
     configurations are produced.  The trace is complete exactly when the
     last yielded configuration is terminal.
     """
-    if cap < 1:
-        raise ValueError("step cap must be positive")
+    _check_cap(cap)
     yield Config(c, s)
     for _ in range(cap):
         if type(c) is Skip:
@@ -144,21 +157,43 @@ def iter_trace(c: Com, s: Store, cap: int) -> Iterator[Config]:
 
 
 def run_oracle(c: Com, s: Store, cap: int) -> OracleOutcome:
-    """Iterate `step` to termination or `cap` steps."""
+    """The outcome of iterating `step` from ⟨c, s⟩ for at most `cap` steps."""
     outcome, _ = run_oracle_stats(c, s, cap)
     return outcome
 
 
 def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
-    """Like run_oracle, also counting uses of the While unfold rule."""
-    if cap < 1:
-        raise ValueError("step cap must be positive")
-    while_steps = 0
-    for n in range(cap + 1):
-        if type(c) is Skip:
+    """Like run_oracle, also counting uses of the While unfold rule.
+
+    A refocusing machine over the same rules as `step`: the evaluation
+    context is a stack of the right siblings pending on the left Seq
+    spine, kept across steps.  Only a new contractum is decomposed, so a
+    left-nested program costs one step per rule instead of one spine walk.
+    """
+    _check_cap(cap)
+    ctx: list[Com] = []  # pending right siblings, innermost last
+    push, pop = ctx.append, ctx.pop
+    n = while_steps = 0
+    while True:
+        cls = type(c)
+        while cls is Seq:
+            push(c.second)
+            c = c.first
+            cls = type(c)
+        if cls is Skip and not ctx:
             return Terminated(s, n), while_steps
         if n == cap:
-            break
-        c, s, unfolded = _step_parts(c, s)
-        while_steps += unfolded
-    return StepLimit(cap), while_steps
+            return StepLimit(cap), while_steps
+        n += 1
+        if cls is Skip:  # Seq Skip c2 -> c2
+            c = pop()
+        elif cls is Set:
+            s = s.set(c.var, aval(c.expr, s))
+            c = _SKIP
+        elif cls is If:
+            c = c.then_branch if bval(c.guard, s) else c.else_branch
+        elif cls is While:
+            c = If(c.guard, Seq(c.body, c), _SKIP)
+            while_steps += 1
+        else:
+            raise TypeError(f"not a command: {c!r}")

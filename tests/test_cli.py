@@ -412,6 +412,16 @@ def test_long_straight_line_program_parses_and_traces(tmp_path):
     ]
 
 
+def test_long_plus_chain_parses_and_prints(tmp_path):
+    text = "x := " + " + ".join(["1"] * 10_000)
+    assert pretty(parse_com(text)) == text
+    path = tmp_path / "plus.imp"
+    path.write_text(text + "\n", encoding="utf-8")
+    p = run_cli("parse", str(path))
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == {"pretty": text}
+
+
 def test_parse_command():
     p = run_cli("parse", LOOP)
     assert p.returncode == 0

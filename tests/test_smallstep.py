@@ -1,8 +1,12 @@
 """Small-step oracle unit tests."""
 
+import time
+from functools import cache, reduce
+
 import pytest
 
-from clockwork.imp import Bc, If, Less, N, Plus, Seq, Set, Skip, Store, V, While
+from clockwork import smallstep
+from clockwork.imp import Bc, If, Less, N, Plus, Seq, Set, Skip, Store, V, While, pretty
 from clockwork.parser import parse_com
 from clockwork.smallstep import (
     Config,
@@ -14,7 +18,7 @@ from clockwork.smallstep import (
     run_oracle_stats,
     step,
 )
-from clockwork.testkit import GenConfig, gen_com
+from clockwork.testkit import GenConfig, gen_com, gen_store
 
 S0 = Store()
 WORKED = parse_com("x := 0 ; WHILE x < 3 DO x := x + 1 OD")
@@ -148,6 +152,121 @@ def test_cap_validation():
         run_oracle(Skip(), S0, 0)
     with pytest.raises(ValueError):
         list(iter_trace(Skip(), S0, 0))
+
+
+@pytest.mark.parametrize("cap", [0, -1, True, False, 2.5, 1.0, "3", None])
+@pytest.mark.parametrize(
+    "run",
+    [run_oracle, run_oracle_stats, lambda c, s, cap: list(iter_trace(c, s, cap))],
+    ids=["run_oracle", "run_oracle_stats", "iter_trace"],
+)
+def test_cap_must_be_a_positive_int(run, cap):
+    with pytest.raises(ValueError, match="step cap must be a positive integer"):
+        run(While(Bc(True), Skip()), S0, cap)
+
+
+def _redex(c):
+    """The command the next `step` contracts: the end of the left Seq spine."""
+    while type(c) is Seq and type(c.first) is not Skip:
+        c = c.first
+    return c
+
+
+def _reference(c, s, cap):
+    """`run_oracle_stats` restated by iterating `step`."""
+    cfg, while_steps = Config(c, s), 0
+    for n in range(cap + 1):
+        if cfg.is_terminal():
+            return Terminated(cfg.store, n), while_steps
+        if n == cap:
+            break
+        while_steps += type(_redex(cfg.com)) is While
+        cfg = step(cfg)
+    return StepLimit(cap), while_steps
+
+
+def _chains(leaves):
+    """The same statements nested to the left and to the right."""
+    return reduce(Seq, leaves), reduce(lambda rest, c: Seq(c, rest), reversed(leaves))
+
+
+REF_CAP = 500
+
+
+@cache
+def _differential_cases():
+    """3,000 generated programs and nested chains of generated programs, each
+    at the caps 1, its exact step count and one below (REF_CAP and one below
+    for a program that runs longer)."""
+    cases = [(gen_com(GenConfig(seed=i), 12), gen_store(GenConfig(seed=i))) for i in range(3000)]
+    for k in (2, 7, 40):
+        leaves = [gen_com(GenConfig(seed=10_000 * k + i), 6) for i in range(k)]
+        cases += [(chain, gen_store(GenConfig(seed=k))) for chain in _chains(leaves)]
+    out = []
+    for c, s in cases:
+        outcome, _ = _reference(c, s, REF_CAP)
+        steps = outcome.steps if type(outcome) is Terminated else REF_CAP
+        out += [(c, s, cap) for cap in sorted({1, steps, steps - 1}) if cap >= 1]
+    return out
+
+
+def test_run_oracle_stats_equals_iterating_step():
+    seen = {Terminated: 0, StepLimit: 0}
+    for c, s, cap in _differential_cases():
+        got = run_oracle_stats(c, s, cap)
+        assert got == _reference(c, s, cap), (pretty(c), s, cap)
+        seen[type(got[0])] += 1
+    assert min(seen.values()) > 1000
+
+
+def test_run_oracle_stats_makes_the_calls_of_iterating_step(monkeypatch):
+    # The oracle evaluates through smallstep's aval/bval and Store.set, as
+    # looked up at each call, so a patch of any of them sees every call.
+    cases = _differential_cases()[::10]
+    calls = []
+    aval, bval, store_set = smallstep.aval, smallstep.bval, Store.set
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(smallstep, "aval", counted("aval", aval))
+    monkeypatch.setattr(smallstep, "bval", counted("bval", bval))
+    monkeypatch.setattr(Store, "set", counted("set", store_set))
+    total = 0
+    for c, s, cap in cases:
+        run_oracle_stats(c, s, cap)
+        got = calls[:]
+        calls.clear()
+        _reference(c, s, cap)
+        assert got == calls, (pretty(c), s, cap)
+        total += len(calls)
+        calls.clear()
+    assert total > 10_000
+
+
+def test_left_nested_program_runs_in_linear_time():
+    # Refocusing never walks the context from the root, so a 20,000-deep left
+    # spine costs what its right-nested twin costs (quadratic before).
+    def leaf(i):
+        if i % 1000:
+            return Set("x", Plus(V("x"), N(i)))
+        return While(Less(V("y"), N(i // 1000)), Set("y", Plus(V("y"), N(1))))
+
+    left, right = _chains([leaf(i) for i in range(20_000)])
+    results, best = {}, {}
+    for name, c in (("left", left), ("right", right)) * 3:
+        t0 = time.perf_counter()
+        results[name] = run_oracle_stats(c, S0, 1_000_000)
+        best[name] = min(best.get(name, float("inf")), time.perf_counter() - t0)
+    assert results["left"] == results["right"]
+    outcome, while_steps = results["left"]
+    assert outcome.store == Store({"x": sum(range(20_000)) - sum(range(0, 20_000, 1000)), "y": 19})
+    assert while_steps == 20 + 19  # one false unfold per loop, one true unfold per loop but the first
+    assert best["left"] < 2 * best["right"]
 
 
 def test_oracle_agrees_with_clocked_semantics_on_worked_loop():
