@@ -165,10 +165,8 @@ def run_oracle(c: Com, s: Store, cap: int) -> OracleOutcome:
 def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
     """Like run_oracle, also counting uses of the While unfold rule.
 
-    A refocusing machine over the same rules as `step`: the evaluation
-    context is a stack of the right siblings pending on the left Seq
-    spine, kept across steps.  Only a new contractum is decomposed, so a
-    left-nested program costs one step per rule instead of one spine walk.
+    Refocuses (see the module docstring): `ctx` is the evaluation
+    context, the right siblings pending on the left Seq spine.
     """
     _check_cap(cap)
     ctx: list[Com] = []  # pending right siblings, innermost last
