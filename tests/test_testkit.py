@@ -41,6 +41,7 @@ from clockwork.testkit import (
     enumerate_coms,
     fuel_search,
     gen_com,
+    gen_store,
     mix64,
     replay_case,
     run_property,
@@ -101,7 +102,7 @@ def test_gen_com_deterministic():
 
 
 def test_gen_store_deterministic_and_in_range():
-    from clockwork.testkit import _VARS, gen_store
+    from clockwork.testkit import _VARS
 
     cfg = GenConfig(seed=9)
     s = gen_store(cfg)
@@ -113,6 +114,19 @@ def test_gen_com_respects_budget():
     for seed in range(300):
         for budget in (1, 2, 3, 7, 12):
             assert size(gen_com(GenConfig(seed=seed), budget)) <= budget
+
+
+def test_generator_pinned_at_every_budget():
+    # sha256 over gen_com at budgets 1..14 (outer) and seeds 0..199, then
+    # gen_store at seeds 0..199: pins the node weights at each budget, the
+    # literal range and the loop bias, below and above the campaign's 12
+    h = hashlib.sha256()
+    for budget in range(1, 15):
+        for seed in range(200):
+            h.update((pretty(gen_com(GenConfig(seed=seed), budget)) + "\n").encode())
+    for seed in range(200):
+        h.update((repr(gen_store(GenConfig(seed=seed)).to_dict()) + "\n").encode())
+    assert h.hexdigest() == "0dca182865da1bd196169eae5fc94a62347a6d0c8281c9d7027169728e773e6d"
 
 
 def _contains(c, cls):
