@@ -216,9 +216,18 @@ class Store:
         return f"Store({self._m!r})"
 
 
+_INT_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+
+def _check_int(value: object, what: str, minimum: int | None = None) -> None:
+    """The one rule for integer arguments: a non-bool int, at least `minimum`
+    (0 or 1) when one is given; otherwise a ValueError naming `what`."""
+    if not isinstance(value, int) or isinstance(value, bool) or (minimum is not None and value < minimum):
+        raise ValueError(f"{what} must be {_INT_KINDS[minimum]}, got {value!r}")
+
+
 def _check_fuel(t: int) -> None:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ValueError(f"fuel must be a non-negative integer, got {t!r}")
+    _check_int(t, "fuel", 0)
 
 
 # --------------------------------------------------------------------------

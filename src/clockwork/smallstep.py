@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .imp import Com, If, Seq, Set, Skip, Store, While, aval, bval, pretty, seq_brackets
+from .imp import Com, If, Seq, Set, Skip, Store, While, _check_int, aval, bval, pretty, seq_brackets
 
 _SKIP = Skip()
 
@@ -100,8 +100,8 @@ class StepLimit:
 OracleOutcome = Union[Terminated, StepLimit]
 
 
-def _step_parts(c: Com, s: Store) -> tuple[Com, Store, bool]:
-    """One step of a non-terminal command; the flag marks a While unfold."""
+def _step_parts(c: Com, s: Store) -> tuple[Com, Store]:
+    """One step of a non-terminal command."""
     # Walk down the left spine of Seq nodes to the redex, iteratively so
     # that deeply left-nested programs cannot overflow the call stack.
     spine: list[Com] = []
@@ -109,7 +109,6 @@ def _step_parts(c: Com, s: Store) -> tuple[Com, Store, bool]:
         spine.append(c.second)
         c = c.first
     cls = type(c)
-    unfolded = False
     if cls is Seq:  # first part is Skip
         c = c.second
     elif cls is Set:
@@ -119,24 +118,22 @@ def _step_parts(c: Com, s: Store) -> tuple[Com, Store, bool]:
         c = c.then_branch if bval(c.guard, s) else c.else_branch
     elif cls is While:
         c = If(c.guard, Seq(c.body, c), _SKIP)
-        unfolded = True
     else:
         raise TypeError(f"not a command: {c!r}")
     while spine:
         c = Seq(c, spine.pop())
-    return c, s, unfolded
+    return c, s
 
 
 def _check_cap(cap: int) -> None:
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise ValueError(f"step cap must be a positive integer, got {cap!r}")
+    _check_int(cap, "step cap", 1)
 
 
 def step(cfg: Config) -> Optional[Config]:
     """The unique successor of `cfg`, or None when `cfg` is terminal."""
     if type(cfg.com) is Skip:
         return None
-    c, s, _ = _step_parts(cfg.com, cfg.store)
+    c, s = _step_parts(cfg.com, cfg.store)
     return Config(c, s)
 
 
@@ -152,7 +149,7 @@ def iter_trace(c: Com, s: Store, cap: int) -> Iterator[Config]:
     for _ in range(cap):
         if type(c) is Skip:
             return
-        c, s, _ = _step_parts(c, s)
+        c, s = _step_parts(c, s)
         yield Config(c, s)
 
 

@@ -56,6 +56,7 @@ from .imp import (
     Store,
     V,
     While,
+    _check_int,
     pretty,
     size,
 )
@@ -78,6 +79,8 @@ _P5_TRACE_CAP = 4096
 _P5_EXTRA_STORES = 32
 _MAX_SIZE = 12  # size bound of every generated campaign program
 _VARS = ("x", "y", "z")
+_LO, _HI = -4, 4  # range of every generated literal and store value
+_LOOP_BIAS = 0.5  # share of While nodes drawn from the counting-loop template
 
 
 def search_bound(steps: int, program_size: int) -> int:
@@ -149,99 +152,77 @@ def case_stream(seed: int, case_index: int) -> SplitMix64:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs for random program generation.
-
-    ``loop_bias`` is the fraction of While nodes drawn from a guaranteed-
-    terminating counting-loop template rather than a free guard and body.
-    """
+    """The seed of random program generation; the distribution is fixed."""
 
     seed: int
-    literal_range: tuple[int, int] = (-4, 4)
-    loop_bias: float = 0.5
 
     def __post_init__(self) -> None:
-        lo, hi = self.literal_range
-        if lo > hi:
-            raise ValueError("literal_range must be non-empty")
-        if not 0.0 <= self.loop_bias <= 1.0:
-            raise ValueError("loop_bias must lie in [0, 1]")
+        _check_int(self.seed, "seed")
 
 
-def _gen_aexp(rng: SplitMix64, cfg: GenConfig, depth: int) -> Aexp:
-    lo, hi = cfg.literal_range
+def _gen_aexp(rng: SplitMix64, depth: int) -> Aexp:
     if depth <= 0 or rng.below(3) == 0:
         if rng.below(2) == 0:
-            return N(rng.randint(lo, hi))
+            return N(rng.randint(_LO, _HI))
         return V(rng.choice(_VARS))
     pick = rng.below(3)
     if pick == 0:
-        return N(rng.randint(lo, hi))
+        return N(rng.randint(_LO, _HI))
     if pick == 1:
         return V(rng.choice(_VARS))
-    return Plus(_gen_aexp(rng, cfg, depth - 1), _gen_aexp(rng, cfg, depth - 1))
+    return Plus(_gen_aexp(rng, depth - 1), _gen_aexp(rng, depth - 1))
 
 
-def _gen_bexp(rng: SplitMix64, cfg: GenConfig, depth: int) -> Bexp:
+def _gen_bexp(rng: SplitMix64, depth: int) -> Bexp:
     if depth <= 0:
         if rng.below(3) == 0:
             return Bc(rng.below(2) == 0)
-        return Less(_gen_aexp(rng, cfg, 1), _gen_aexp(rng, cfg, 1))
+        return Less(_gen_aexp(rng, 1), _gen_aexp(rng, 1))
     pick = rng.below(6)
     if pick == 0:
         return Bc(rng.below(2) == 0)
     if pick == 1:
-        return Not(_gen_bexp(rng, cfg, depth - 1))
+        return Not(_gen_bexp(rng, depth - 1))
     if pick == 2:
-        return And(_gen_bexp(rng, cfg, depth - 1), _gen_bexp(rng, cfg, depth - 1))
-    return Less(_gen_aexp(rng, cfg, 1), _gen_aexp(rng, cfg, 1))
+        return And(_gen_bexp(rng, depth - 1), _gen_bexp(rng, depth - 1))
+    return Less(_gen_aexp(rng, 1), _gen_aexp(rng, 1))
 
 
-def _counting_loop(rng: SplitMix64, cfg: GenConfig) -> While:
+def _counting_loop(rng: SplitMix64) -> While:
     # Terminating template: count a fresh variable up to a fresh literal.
     x = rng.choice(_VARS)
-    lo, hi = cfg.literal_range
-    k = rng.randint(lo, hi)
+    k = rng.randint(_LO, _HI)
     return While(Less(V(x), N(k)), Set(x, Plus(V(x), N(1))))
 
 
-def _gen_com(rng: SplitMix64, cfg: GenConfig, budget: int) -> Com:
-    choices = [("skip", 1), ("set", 3)]
-    if budget >= 2:
-        choices.append(("while", 3))
-    if budget >= 3:
-        choices.append(("seq", 4))
-        choices.append(("if", 2))
-    total = sum(w for _, w in choices)
-    r = rng.below(total)
-    for tag, w in choices:
-        if r < w:
-            break
-        r -= w
-    if tag == "skip":
+def _gen_com(rng: SplitMix64, budget: int) -> Com:
+    # Node weights SKIP 1, := 3, WHILE 3, ; 4, IF 2, drawn as one number
+    # below their running sum; budget 1 allows only the leaves, budget 2
+    # no ; or IF.
+    r = rng.below(4 if budget < 2 else 7 if budget < 3 else 13)
+    if r < 1:
         return Skip()
-    if tag == "set":
-        return Set(rng.choice(_VARS), _gen_aexp(rng, cfg, 2))
-    if tag == "while":
-        if rng.chance(cfg.loop_bias):
-            return _counting_loop(rng, cfg)
-        return While(_gen_bexp(rng, cfg, 2), _gen_com(rng, cfg, budget - 1))
+    if r < 4:
+        return Set(rng.choice(_VARS), _gen_aexp(rng, 2))
+    if r < 7:
+        if rng.chance(_LOOP_BIAS):
+            return _counting_loop(rng)
+        return While(_gen_bexp(rng, 2), _gen_com(rng, budget - 1))
     left = rng.randint(1, budget - 2)
     right = budget - 1 - left
-    if tag == "seq":
-        return Seq(_gen_com(rng, cfg, left), _gen_com(rng, cfg, right))
-    return If(_gen_bexp(rng, cfg, 2), _gen_com(rng, cfg, left), _gen_com(rng, cfg, right))
+    if r < 11:
+        return Seq(_gen_com(rng, left), _gen_com(rng, right))
+    return If(_gen_bexp(rng, 2), _gen_com(rng, left), _gen_com(rng, right))
 
 
 def gen_com(cfg: GenConfig, budget: int) -> Com:
     """Deterministic random command with size(c) <= budget."""
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    return _gen_com(SplitMix64(mix64(cfg.seed)), cfg, budget)
+    _check_int(budget, "budget", 1)
+    return _gen_com(SplitMix64(mix64(cfg.seed)), budget)
 
 
-def _gen_store(rng: SplitMix64, cfg: GenConfig) -> Store:
-    lo, hi = cfg.literal_range
-    return Store({x: rng.randint(lo, hi) for x in _VARS})
+def _gen_store(rng: SplitMix64) -> Store:
+    return Store({x: rng.randint(_LO, _HI) for x in _VARS})
 
 
 def _gen_fuel(rng: SplitMix64) -> int:
@@ -255,7 +236,7 @@ def _gen_fuel(rng: SplitMix64) -> int:
 
 def gen_store(cfg: GenConfig) -> Store:
     """Deterministic random store over x, y and z."""
-    return _gen_store(SplitMix64(mix64(cfg.seed ^ 0x5353)), cfg)
+    return _gen_store(SplitMix64(mix64(cfg.seed ^ 0x5353)))
 
 
 _ENUM_AEXPS = (N(0), N(1), V("x"), Plus(V("x"), N(1)))
@@ -266,6 +247,7 @@ ENUM_STORES = (Store(), Store({"x": -1, "y": 2}), Store({"x": 3}))
 def enumerate_coms(max_size: int) -> list[Com]:
     """Every command of size <= max_size over fixed expression pools, by
     size, so a smaller bound gives a prefix (594 / 6,030 / 83,664 at 3 / 4 / 5)."""
+    _check_int(max_size, "max_size", 0)
     by_size = {1: [Skip()] + [Set(x, a) for x in ("x", "y") for a in _ENUM_AEXPS]}
     for k in range(2, max_size + 1):
         coms = [While(b, body) for b in _ENUM_BEXPS for body in by_size[k - 1]]
@@ -291,8 +273,7 @@ def fuel_search(
     """
     if sem not in SEMANTICS:
         raise ValueError(f"unknown semantics: {sem!r}")
-    if max_fuel < 1:
-        raise ValueError("max_fuel must be positive")
+    _check_int(max_fuel, "max_fuel", 1)
     fn = SEMANTICS[sem]
     fuel = 1
     while True:
@@ -588,51 +569,51 @@ def _check_rt(inp: dict[str, object]) -> _CheckOutcome:
     return None
 
 
-def _gen_triple(rng: SplitMix64, cfg: GenConfig) -> dict[str, object]:
+def _gen_triple(rng: SplitMix64) -> dict[str, object]:
     return {
-        "program": _gen_com(rng, cfg, _MAX_SIZE),
-        "store": _gen_store(rng, cfg),
+        "program": _gen_com(rng, _MAX_SIZE),
+        "store": _gen_store(rng),
         "fuel": _gen_fuel(rng),
     }
 
 
-def _gen_case(property_id: str, rng: SplitMix64, cfg: GenConfig) -> tuple[dict[str, object], _Checker]:
+def _gen_case(property_id: str, rng: SplitMix64) -> tuple[dict[str, object], _Checker]:
     if property_id in ("P1", "P2", "P3"):
-        return _gen_triple(rng, cfg), {"P1": _check_p1, "P2": _check_p2, "P3": _check_p3}[property_id]
+        return _gen_triple(rng), {"P1": _check_p1, "P2": _check_p2, "P3": _check_p3}[property_id]
     if property_id == "P4":
         return {
-            "first": _gen_com(rng, cfg, _MAX_SIZE),
-            "second": _gen_com(rng, cfg, _MAX_SIZE),
-            "store": _gen_store(rng, cfg),
+            "first": _gen_com(rng, _MAX_SIZE),
+            "second": _gen_com(rng, _MAX_SIZE),
+            "store": _gen_store(rng),
             "fuel": _gen_fuel(rng),
         }, _check_p4
     if property_id == "P5":
         return {
-            "first": _gen_com(rng, cfg, _MAX_SIZE),
-            "second": _gen_com(rng, cfg, _MAX_SIZE),
-            "store": _gen_store(rng, cfg),
+            "first": _gen_com(rng, _MAX_SIZE),
+            "second": _gen_com(rng, _MAX_SIZE),
+            "store": _gen_store(rng),
             "fuel": rng.randint(3, 64),
-            "premise_stores": tuple(_gen_store(rng, cfg) for _ in range(_P5_EXTRA_STORES)),
+            "premise_stores": tuple(_gen_store(rng) for _ in range(_P5_EXTRA_STORES)),
         }, _check_p5
     if property_id == "P6":
-        inp = _gen_triple(rng, cfg)
+        inp = _gen_triple(rng)
         inp["extra"] = rng.randint(0, 16)
         return inp, _check_p6
     if property_id == "P7":
-        return _gen_triple(rng, cfg), _check_p7
+        return _gen_triple(rng), _check_p7
     if property_id == "P8":
-        inp = _gen_triple(rng, cfg)
+        inp = _gen_triple(rng)
         inp["extra"] = rng.randint(1, 8)
         inp["extra2"] = inp["extra"] + rng.randint(1, 8)
         inp["fuels"] = (_gen_fuel(rng), _gen_fuel(rng), _gen_fuel(rng))
         return inp, _check_p8
     if property_id in ("P9", "P10"):
         return {
-            "program": _gen_com(rng, cfg, _MAX_SIZE),
-            "store": _gen_store(rng, cfg),
+            "program": _gen_com(rng, _MAX_SIZE),
+            "store": _gen_store(rng),
         }, _check_p9 if property_id == "P9" else _check_p10
     if property_id == "RT":
-        return {"program": _gen_com(rng, cfg, _MAX_SIZE)}, _check_rt
+        return {"program": _gen_com(rng, _MAX_SIZE)}, _check_rt
     raise ValueError(f"unknown property id: {property_id!r}")
 
 
@@ -752,14 +733,13 @@ def run_property(property_id: str, cfg: GenConfig, cases: int) -> PropertyReport
     """
     if property_id not in PROPERTY_IDS:
         raise ValueError(f"unknown property id: {property_id!r}")
-    if cases < 0:
-        raise ValueError("cases must be non-negative")
+    _check_int(cases, "cases", 0)
     t0 = time.perf_counter()
     failures: list[Failure] = []
     skipped = 0
     for k in range(cases):
         rng = case_stream(cfg.seed, k)
-        inputs, check = _gen_case(property_id, rng, cfg)
+        inputs, check = _gen_case(property_id, rng)
         outcome = check(inputs)
         if outcome is None:
             continue
@@ -795,8 +775,9 @@ def replay_case(property_id: str, cfg: GenConfig, case_index: int) -> tuple[dict
     Returns the rendered inputs and "pass", "skip", or "fail: ..." so a
     reported failure can be reproduced in isolation.
     """
+    _check_int(case_index, "case_index", 0)
     rng = case_stream(cfg.seed, case_index)
-    inputs, check = _gen_case(property_id, rng, cfg)
+    inputs, check = _gen_case(property_id, rng)
     outcome = check(inputs)
     if outcome is None:
         verdict = "pass"

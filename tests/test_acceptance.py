@@ -17,6 +17,7 @@ failure report) and asserts the criterion at its stated tolerance:
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -32,6 +33,8 @@ SEED = 42
 CFG = GenConfig(seed=SEED)
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+# the subprocesses run this checkout's package, installed or not
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -176,7 +179,7 @@ def test_c10_worked_example_and_goldens():
     mismatches = []
     for name, args in goldens:
         out = subprocess.run(
-            [sys.executable, "-m", "clockwork", *args], capture_output=True
+            [sys.executable, "-m", "clockwork", *args], capture_output=True, env=CLI_ENV
         ).stdout
         if out != (GOLDEN / name).read_bytes():
             mismatches.append(name)

@@ -17,20 +17,19 @@ from clockwork.testkit import GenConfig, gen_com, gen_store
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+# the subprocesses run this checkout's package, installed or not
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 LOOP = str(DATA / "loop.imp")
 SKIP = str(DATA / "skip.imp")
 INCR = str(DATA / "incr.imp")
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "clockwork", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=dict(CLI_ENV, **(env_extra or {})),
     )
 
 
@@ -477,6 +476,6 @@ def test_check_seed_env_var():
 )
 def test_golden_files_byte_for_byte(golden, args):
     p = subprocess.run(
-        [sys.executable, "-m", "clockwork", *args], capture_output=True
+        [sys.executable, "-m", "clockwork", *args], capture_output=True, env=CLI_ENV
     )
     assert p.stdout == (GOLDEN / golden).read_bytes()

@@ -10,8 +10,8 @@ import pytest
 from clockwork.clocked_env import ev, ev_min, ev_min_checked, least_fuel
 from clockwork.imp import Bc, If, Less, N, Plus, Seq, Set, Skip, Store, V, While, bval
 from clockwork.parser import parse_com
-from clockwork.testkit import GenConfig, case_stream, gen_com
-from clockwork.testkit import _gen_com, _gen_fuel, _gen_store  # test-scale generators
+from clockwork.testkit import case_stream
+from clockwork.testkit import _VARS, _gen_com, _gen_fuel, _gen_store  # test-scale generators
 
 S0 = Store()
 S1 = Store({"x": 3, "y": -1})
@@ -21,10 +21,9 @@ LOOP = While(Less(V("x"), N(3)), BODY)
 
 
 def _cases(n=60, seed=11, budget=8):
-    cfg = GenConfig(seed=seed)
     for k in range(n):
         rng = case_stream(seed, k)
-        yield _gen_com(rng, cfg, budget), _gen_store(rng, cfg), _gen_fuel(rng)
+        yield _gen_com(rng, budget), _gen_store(rng), _gen_fuel(rng)
 
 
 # --- ev: six clauses ---
@@ -182,13 +181,15 @@ TWINS = [(ev, True), (ev_min, False)]
 
 @pytest.mark.parametrize("fn,every_step", TWINS)
 def test_least_fuel_agrees_with_evaluator_and_bisection(fn, every_step):
-    # longer counting loops than the default, so ev_min often needs fuel
+    # each program ends in a counting loop of up to 16 rounds, longer than
+    # the generator's, so ev_min often needs fuel
     seed, budget = 31, 14
-    cfg = GenConfig(seed=seed, literal_range=(-4, 16), loop_bias=0.8)
     finals = fueled = timeouts = 0
     for k in range(3000):
         rng = case_stream(seed, k)
-        c, s = _gen_com(rng, cfg, budget), _gen_store(rng, cfg)
+        c, s = _gen_com(rng, budget), _gen_store(rng)
+        x, n = rng.choice(_VARS), rng.randint(0, 16)
+        c = Seq(c, While(Less(V(x), N(n)), Set(x, Plus(V(x), N(1)))))
         for t in (_gen_fuel(rng), 600):
             want = fn(c, s, t)
             got = least_fuel(c, s, t, every_step)

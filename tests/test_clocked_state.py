@@ -5,7 +5,7 @@ import pytest
 from clockwork.clocked_state import cval, cval_guard, cval_tick, cval_unfolds, fix_clock
 from clockwork.imp import Bc, If, Less, N, Plus, Seq, Set, Skip, Store, V, While, bval
 from clockwork.parser import parse_com
-from clockwork.testkit import SEMANTICS, GenConfig, case_stream
+from clockwork.testkit import SEMANTICS, case_stream
 from clockwork.testkit import _gen_com, _gen_fuel, _gen_store  # test-scale generators
 
 S0 = Store()
@@ -17,10 +17,9 @@ WORKED = parse_com("x := 0 ; WHILE x < 3 DO x := x + 1 OD")
 
 
 def _cases(n=60, seed=31, budget=8):
-    cfg = GenConfig(seed=seed)
     for k in range(n):
         rng = case_stream(seed, k)
-        yield _gen_com(rng, cfg, budget), _gen_store(rng, cfg), _gen_fuel(rng)
+        yield _gen_com(rng, budget), _gen_store(rng), _gen_fuel(rng)
 
 
 # --- fix_clock: two clauses ---

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 from typing import Union, get_args
 
 import pytest
 
+from clockwork.clocked_env import ev
 from clockwork.imp import (
     Aexp,
     And,
@@ -27,6 +29,7 @@ from clockwork.imp import (
     size,
 )
 from clockwork.parser import parse_com
+from clockwork.smallstep import run_oracle
 from clockwork.testkit import (
     PROPERTY_IDS,
     SKIPPED,
@@ -80,13 +83,6 @@ def test_case_streams_are_independent_and_reproducible():
     assert a1 == a2
     assert len({a1, b, c}) == 3
     assert mix64(42) == case_stream(42, 0).state
-
-
-def test_gen_config_validation():
-    with pytest.raises(ValueError):
-        GenConfig(seed=1, literal_range=(3, -3))
-    with pytest.raises(ValueError):
-        GenConfig(seed=1, loop_bias=1.5)
 
 
 def test_gen_com_budget_one_forces_leaf():
@@ -146,10 +142,9 @@ def _contains(c, cls):
 
 
 def test_generated_distribution_pinned():
-    # 1000 draws at budget 12, loop_bias 0.5, seed 42; counts pinned from
+    # 1000 draws at budget 12, loop bias 0.5, seed 42; counts pinned from
     # the first measurement run
-    cfg = GenConfig(seed=42)
-    progs = [_gen_case("RT", case_stream(42, k), cfg)[0]["program"] for k in range(1000)]
+    progs = [_gen_case("RT", case_stream(42, k))[0]["program"] for k in range(1000)]
     n_while = sum(_contains(c, While) for c in progs)
     n_if = sum(_contains(c, If) for c in progs)
     assert n_while == 538
@@ -177,8 +172,7 @@ _DRAW_DIGESTS = {
 
 @pytest.mark.parametrize("pid", PROPERTY_IDS)
 def test_case_draws_pinned(pid):
-    cfg = GenConfig(seed=42)
-    cases = [_render_inputs(_gen_case(pid, case_stream(42, k), cfg)[0]) for k in range(100)]
+    cases = [_render_inputs(_gen_case(pid, case_stream(42, k))[0]) for k in range(100)]
     assert hashlib.sha256(json.dumps(cases).encode()).hexdigest() == _DRAW_DIGESTS[pid]
 
 
@@ -249,6 +243,30 @@ def test_run_property_unknown_id():
         run_property("P99", GenConfig(seed=1), 10)
     with pytest.raises(ValueError, match="unknown property id: 'P99'"):
         replay_case("P99", GenConfig(seed=1), 0)
+
+
+# Every integer argument is read by one rule: a non-bool int at or above
+# its minimum (None: any sign).  name -> (call taking the value, minimum)
+_INT_ARGUMENTS = {
+    "cases": (lambda v: run_property("P1", GenConfig(seed=1), v), 0),
+    "case_index": (lambda v: replay_case("P1", GenConfig(seed=1), v), 0),
+    "budget": (lambda v: gen_com(GenConfig(seed=1), v), 1),
+    "max_fuel": (lambda v: fuel_search("ev", Skip(), S0, v), 1),
+    "max_size": (enumerate_coms, 0),
+    "seed": (lambda v: GenConfig(seed=v), None),
+    "fuel": (lambda v: ev(Skip(), S0, v), 0),
+    "step cap": (lambda v: run_oracle(Skip(), S0, v), 1),
+}
+
+
+@pytest.mark.parametrize("name", _INT_ARGUMENTS)
+def test_integer_arguments_share_one_rule(name):
+    call, minimum = _INT_ARGUMENTS[name]
+    bad = [True, 2.5, "3", None] + ([] if minimum is None else [minimum - 1])
+    for v in bad:
+        with pytest.raises(ValueError, match=rf"^{name} must be .*integer, got {re.escape(repr(v))}$"):
+            call(v)
+    call(-7 if minimum is None else minimum)
 
 
 def test_report_json_shape():
@@ -388,9 +406,8 @@ def test_node_shrink_table_has_one_row_per_node_type():
 
 
 def _program_inputs(pid, seed, cases):
-    cfg = GenConfig(seed=seed)
     for k in range(cases):
-        inputs, _ = _gen_case(pid, case_stream(seed, k), cfg)
+        inputs, _ = _gen_case(pid, case_stream(seed, k))
         yield from (v for v in inputs.values() if isinstance(v, get_args(Com)))
 
 
@@ -505,9 +522,8 @@ def test_store_shrinks_are_distinct():
 
 def test_failure_records_are_replayable():
     # regenerating the same case yields identical inputs
-    cfg = GenConfig(seed=42)
-    inputs, _ = _gen_case("P1", case_stream(cfg.seed, 0), cfg)
-    inputs2, _ = _gen_case("P1", case_stream(cfg.seed, 0), cfg)
+    inputs, _ = _gen_case("P1", case_stream(42, 0))
+    inputs2, _ = _gen_case("P1", case_stream(42, 0))
     assert inputs == inputs2
 
 
