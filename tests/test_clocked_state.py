@@ -2,6 +2,7 @@
 
 import pytest
 
+from clockwork.clocked_env import least_fuel
 from clockwork.clocked_state import cval, cval_guard, cval_tick, cval_unfolds, fix_clock
 from clockwork.imp import Bc, If, Less, N, Plus, Seq, Set, Skip, Store, V, While, bval
 from clockwork.parser import parse_com
@@ -241,7 +242,17 @@ def test_argument_store_is_never_mutated():
 
 
 def test_assigning_zero_leaves_a_normalized_store():
-    for name, fn in SEMANTICS.items():
-        r = _final_store(fn(Set("x", N(0)), Store({"x": 3}), 1))
-        assert r == Store() and hash(r) == hash(Store()), name
-        assert r.to_dict() == {}, name
+    runs = dict(SEMANTICS)
+    runs["least_fuel(every_step)"] = lambda c, s, t: least_fuel(c, s, t, True)
+    runs["least_fuel(unfolds)"] = lambda c, s, t: least_fuel(c, s, t, False)
+    programs = {
+        "x := 0": {},  # a bound name zeroed
+        "y := 0": {"x": 3},  # an unbound name set to 0
+        "x := 0 ; x := 2": {"x": 2},  # zeroed, then set again
+    }
+    for text, want in programs.items():
+        for name, fn in runs.items():
+            r = _final_store(fn(parse_com(text), Store({"x": 3}), 5))
+            assert r == Store(want) and hash(r) == hash(Store(want)), (name, text)
+            assert r.to_dict() == want, (name, text)
+            assert 0 not in r._m.values(), (name, text)
