@@ -20,8 +20,19 @@ from clockwork.testkit import ENUM_STORES, enumerate_coms, p9_agreement, search_
 ORACLE_CAP = 500
 
 
+def _max_size(argv: list[str]) -> int:
+    """MAX_SIZE read as the CLI reads a count: an ASCII decimal, at least 1."""
+    if len(argv) < 2:
+        return 5
+    text = argv[1]
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        print(f"usage: confirm_search_bound.py [MAX_SIZE]: MAX_SIZE must be an ASCII decimal >= 1, got {text!r}", file=sys.stderr)
+        sys.exit(2)
+    return int(text)
+
+
 def main() -> int:
-    max_size = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    max_size = _max_size(sys.argv)
     coms = enumerate_coms(max_size)
     print(f"programs of size <= {max_size}: {len(coms)}; stores: {len(ENUM_STORES)}")
     t0 = time.time()

@@ -22,7 +22,7 @@ import json
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .clocked_env import least_fuel
 from .imp import Com, Store, pretty
@@ -60,6 +60,12 @@ def _decimal(text: str) -> int:
 
 
 _decimal.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+
+def _usage(message: str) -> NoReturn:
+    """Print `message` to stderr and exit 1; `main` returns the code."""
+    print(message, file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -103,13 +109,11 @@ def _load_program(path: str) -> Com:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
-        print(f"clockwork: cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage(f"clockwork: cannot read {path}: {e}")
     try:
         return parse_com(text)
     except ParseError as e:
-        print(f"{path}:{e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage(f"{path}:{e}")
 
 
 def _parse_init(spec: str) -> Store:
@@ -121,15 +125,15 @@ def _parse_init(spec: str) -> Store:
             try:
                 if not eq:
                     raise ValueError("missing '='")
+                if name in bindings:
+                    raise ValueError(f"{name!r} is already bound")
                 bindings[name] = _decimal(value.strip())
             except ValueError as e:
-                print(f"clockwork: bad --init binding {item!r}: {e}", file=sys.stderr)
-                raise SystemExit(EXIT_USAGE)
+                _usage(f"clockwork: bad --init binding {item!r}: {e}")
     try:
         return Store(bindings)
     except ValueError as e:
-        print(f"clockwork: bad --init: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage(f"clockwork: bad --init: {e}")
 
 
 def _parse_fuel(spec: str) -> tuple[Optional[int], Optional[int]]:
@@ -140,30 +144,22 @@ def _parse_fuel(spec: str) -> tuple[Optional[int], Optional[int]]:
             if max_fuel < 1:
                 raise ValueError
         except ValueError:
-            print(f"clockwork: bad --fuel search spec {spec!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            _usage(f"clockwork: bad --fuel search spec {spec!r}")
         return None, max_fuel
     try:
         fuel = _decimal(spec)
         if fuel < 0:
             raise ValueError
     except ValueError:
-        print(f"clockwork: bad --fuel {spec!r}: expected N or search:MAX", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage(f"clockwork: bad --fuel {spec!r}: expected N or search:MAX")
     return fuel, None
-
-
-def _too_long_to_print(e: ValueError) -> SystemExit:
-    """Exit 1 for an integer with more digits than sys.get_int_max_str_digits()."""
-    print(f"clockwork: a value is too long to print: {e}", file=sys.stderr)
-    return SystemExit(EXIT_USAGE)
 
 
 def _emit(obj: dict) -> None:
     try:
         text = json.dumps(obj, separators=(",", ":"))
-    except ValueError as e:
-        raise _too_long_to_print(e) from None
+    except ValueError as e:  # an int longer than sys.get_int_max_str_digits()
+        _usage(f"clockwork: a value is too long to print: {e}")
     print(text)
 
 
@@ -175,8 +171,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     exact_fuel, search_max = _parse_fuel(args.fuel)
     if args.oracle and args.cap < 1:
-        print("clockwork: --cap must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        _usage("clockwork: --cap must be positive")
     report: dict[str, object] = {"semantics": args.sem}
     if search_max is not None:
         report["fuel_in"] = f"search:{search_max}"
@@ -218,8 +213,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     com = _load_program(args.file)
     store = _parse_init(args.init)
     if args.cap < 1:
-        print("clockwork: --cap must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        _usage("clockwork: --cap must be positive")
     count = -1
     last = None
     render = TraceRenderer().render
@@ -227,7 +221,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         try:
             line = render(cfg)
         except ValueError as e:
-            raise _too_long_to_print(e) from None
+            _usage(f"clockwork: a value is too long to print: {e}")
         print(line)
         count += 1
         last = cfg
@@ -239,27 +233,22 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.all:
-        ids: Sequence[str] = PROPERTY_IDS
-    else:
-        ids = args.properties
+    if args.all and args.properties:
+        _usage("clockwork: give property ids or --all, not both")
+    ids: Sequence[str] = PROPERTY_IDS if args.all else args.properties
     if not ids:
-        print("clockwork: nothing to check; give property ids or --all", file=sys.stderr)
-        return EXIT_USAGE
+        _usage("clockwork: nothing to check; give property ids or --all")
     for pid in ids:
         if pid not in PROPERTY_IDS:
-            print(f"clockwork: unknown property id {pid!r} (known: {', '.join(PROPERTY_IDS)})", file=sys.stderr)
-            return EXIT_USAGE
+            _usage(f"clockwork: unknown property id {pid!r} (known: {', '.join(PROPERTY_IDS)})")
     if args.cases < 0:
-        print("clockwork: --cases must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
+        _usage("clockwork: --cases must be non-negative")
     seed = args.seed
     if seed is None:
         try:
             seed = _decimal(os.environ.get("CLOCKWORK_SEED", str(_DEFAULT_SEED)))
         except ValueError:
-            print("clockwork: CLOCKWORK_SEED must be an integer", file=sys.stderr)
-            return EXIT_USAGE
+            _usage("clockwork: CLOCKWORK_SEED must be an integer")
     cfg = GenConfig(seed=seed)
     all_passed = True
     for pid in ids:

@@ -12,10 +12,10 @@ A run that exhausts its clock returns None; a completed run returns the
 final store.  Both functions use an explicit continuation stack rather
 than native recursion, so clocks in the millions cannot overflow the
 interpreter stack.  Each run updates a private copy of the argument
-store's bindings in place (zeros popped, so it stays normalized) and
-wraps it into a Store only on return.  On a true While guard the loop
-node itself is pushed as the continuation of its body, which is what the
-unfold ``Seq(body, While(...))`` would push, without allocating it.
+store's bindings in place; zeros are dropped by ``Store`` on return,
+when the copy is wrapped.  On a true While guard the loop node itself
+is pushed as the continuation of its body, which is what the unfold
+``Seq(body, While(...))`` would push, without allocating it.
 
 Since the clock is not returned, ``least_fuel`` runs either discipline
 once more and reports the least fuel the run needed.
@@ -56,11 +56,7 @@ def ev(c: Com, s: Store, t: int) -> EnvResult:
             if cls is Skip:
                 break
             if cls is Set:
-                v = aval(c.expr, m)
-                if v:
-                    m[c.var] = v
-                else:
-                    m.pop(c.var, None)
+                m[c.var] = aval(c.expr, m)
                 break
             t -= 1
             if cls is Seq:
@@ -103,11 +99,7 @@ def ev_min(c: Com, s: Store, t: int) -> EnvResult:
             if cls is Skip:
                 break
             if cls is Set:
-                v = aval(c.expr, m)
-                if v:
-                    m[c.var] = v
-                else:
-                    m.pop(c.var, None)
+                m[c.var] = aval(c.expr, m)
                 break
             if cls is Seq:
                 push((c.second, t))
@@ -164,11 +156,7 @@ def least_fuel(c: Com, s: Store, t: int, every_step: bool) -> Optional[tuple[Sto
             if cls is Skip:
                 break
             if cls is Set:
-                v = aval(c.expr, m)
-                if v:
-                    m[c.var] = v
-                else:
-                    m.pop(c.var, None)
+                m[c.var] = aval(c.expr, m)
                 break
             if cls is Seq:
                 push((c.second, t))

@@ -16,11 +16,11 @@ All variants return None on timeout and use explicit continuation
 stacks, so multi-million clocks cannot overflow the interpreter stack.
 A continuation is the second part of a Seq together with the clock the
 Seq was entered with, which the clamp needs.  Each run updates a private
-copy of the argument store's bindings in place (zeros popped, so it
-stays normalized) and wraps it into a Store only on return.  On a true
-While guard the loop node itself is pushed as the continuation of its
-body, which is what the unfold ``Seq(body, While(...))`` would push,
-without allocating it.
+copy of the argument store's bindings in place; zeros are dropped by
+``Store`` on return, when the copy is wrapped.  On a true While guard
+the loop node itself is pushed as the continuation of its body, which
+is what the unfold ``Seq(body, While(...))`` would push, without
+allocating it.
 """
 
 from __future__ import annotations
@@ -65,11 +65,7 @@ def cval(c: Com, s: Store, t: int) -> StateResult:
             if cls is Skip:
                 break
             if cls is Set:
-                v = aval(c.expr, m)
-                if v:
-                    m[c.var] = v
-                else:
-                    m.pop(c.var, None)
+                m[c.var] = aval(c.expr, m)
                 break
             if cls is Seq:
                 push((t, c.second))
@@ -113,11 +109,7 @@ def cval_guard(c: Com, s: Store, t: int) -> StateResult:
             if cls is Skip:
                 break
             if cls is Set:
-                v = aval(c.expr, m)
-                if v:
-                    m[c.var] = v
-                else:
-                    m.pop(c.var, None)
+                m[c.var] = aval(c.expr, m)
                 break
             if cls is Seq:
                 push((t, c.second))
@@ -168,11 +160,7 @@ def cval_tick(c: Com, s: Store, t: int) -> StateResult:
             if cls is Skip:
                 break
             if cls is Set:
-                v = aval(c.expr, m)
-                if v:
-                    m[c.var] = v
-                else:
-                    m.pop(c.var, None)
+                m[c.var] = aval(c.expr, m)
                 break
             if cls is Seq:
                 push((t, c.second))

@@ -148,7 +148,8 @@ Com = Union[Skip, Set, Seq, If, While]
 class Store:
     """Total mapping from variable names to integers, default 0.
 
-    Zero bindings are normalized away on construction and update, so two
+    ``_wrap`` is the one place that drops zero bindings, and the
+    constructor, ``set`` and the evaluators all go through it, so two
     stores compare equal exactly when they agree on every name (a bound
     ``x = 0`` is indistinguishable from an unbound ``x``).  Instances are
     immutable; ``set`` returns a new store.
@@ -157,18 +158,19 @@ class Store:
     __slots__ = ("_m",)
 
     def __init__(self, bindings: Mapping[str, int] | None = None) -> None:
-        m: dict[str, int] = {}
-        if bindings:
-            for name, value in bindings.items():
-                _check_name(name)
-                if not _is_int(value):
-                    raise ValueError(f"store value for {name!r} must be an int")
-                if value != 0:
-                    m[name] = value
-        self._m = m
+        m = dict(bindings) if bindings else {}
+        for name, value in m.items():
+            _check_name(name)
+            if not _is_int(value):
+                raise ValueError(f"store value for {name!r} must be an int")
+        self._m = self._wrap(m)._m
 
     @classmethod
     def _wrap(cls, m: dict[str, int]) -> "Store":
+        """The trusted constructor: adopts `m`, unchecked and uncopied, without
+        its zero bindings."""
+        if 0 in m.values():
+            m = {k: v for k, v in m.items() if v}
         obj = object.__new__(cls)
         obj._m = m
         return obj
@@ -187,10 +189,7 @@ class Store:
         if name not in self._m:
             _check_name(name)
         m = dict(self._m)
-        if value == 0:
-            m.pop(name, None)
-        else:
-            m[name] = value
+        m[name] = value
         return Store._wrap(m)
 
     def to_dict(self) -> dict[str, int]:
@@ -237,8 +236,8 @@ def _check_fuel(t: int) -> None:
 def aval(a: Aexp, s: Store | dict[str, int]) -> int:
     """Value of an arithmetic expression in store `s`. Total.
 
-    `s` may also be a plain dict of nonzero bindings, which is what the
-    clocked evaluators pass while they run.
+    `s` may also be a plain dict of bindings, which is what the clocked
+    evaluators pass while they run.
     """
     cls = type(a)
     if cls is N:

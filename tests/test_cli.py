@@ -289,6 +289,8 @@ _BAD_INT = "invalid literal for int() with base 10"
         (["check", "P1", "--cases", "3"], "42", 0, None),
         (["run", LOOP, "--sem", "cval", "--fuel", "5", "--init", "WHILE=2"], None, 1, "clockwork: bad --init: variable name is a keyword: 'WHILE'"),
         (["run", LOOP, "--sem", "cval", "--fuel", "5", "--init", "x=1,true=1"], None, 1, "clockwork: bad --init: variable name is a keyword: 'true'"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "3", "--init", "x=1,x=2"], None, 1, "clockwork: bad --init binding 'x=2': 'x' is already bound"),
+        (["run", LOOP, "--sem", "cval", "--fuel", "3", "--init", "x=1, x =2"], None, 1, "clockwork: bad --init binding ' x =2': 'x' is already bound"),
     ],
 )
 def test_integer_options_are_ascii_decimal(monkeypatch, capsys, argv, env_seed, code, err_tail):
@@ -454,6 +456,14 @@ def test_check_unknown_property_usage_error():
 def test_check_requires_ids_or_all():
     p = run_cli("check")
     assert p.returncode == 1
+
+
+@pytest.mark.parametrize("pid", ["P99", "P1"])
+def test_check_ids_with_all_is_a_usage_error(pid):
+    p = run_cli("check", pid, "--all")
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert p.stderr == "clockwork: give property ids or --all, not both\n"
 
 
 def test_check_seed_env_var():

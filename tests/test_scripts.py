@@ -5,16 +5,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_confirm_search_bound_at_size_3():
-    p = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "confirm_search_bound.py"), "3"],
+def _confirm_search_bound(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "confirm_search_bound.py"), *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
+
+
+def test_confirm_search_bound_at_size_3():
+    p = _confirm_search_bound("3")
     assert p.returncode == 0, p.stderr
     lines = p.stdout.splitlines()
     assert lines[:4] == [
@@ -24,3 +30,11 @@ def test_confirm_search_bound_at_size_3():
         "worst cval_tick: need/bound = 0.139 at ('WHILE x < 2 DO x := x + 1 OD', {'x': -1, 'y': 2}, 14, 10, 72)",
     ]
     assert len(lines) == 5 and lines[4].startswith("elapsed: ")
+
+
+@pytest.mark.parametrize("max_size", ["x", "-1", "٣"])
+def test_confirm_search_bound_takes_an_ascii_decimal_size(max_size):
+    p = _confirm_search_bound(max_size)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr == f"usage: confirm_search_bound.py [MAX_SIZE]: MAX_SIZE must be an ASCII decimal >= 1, got {max_size!r}\n"
