@@ -128,49 +128,65 @@ def test_lex_errors():
         parse_aexp("1 - 2")  # no binary minus; '-' only prefixes literals
 
 
-# (parser, source, position, message) for malformed inputs.  Lexing
-# finishes before parsing starts, so a bad character anywhere wins over an
-# earlier syntax error.  Tabs and '\r' count as one column each.
+# The expected sets a ParseError reports.
+ARITH = ("integer literal", "identifier", "'('")
+BOOL = ("'!'", "true", "false", "comparison", "'('")
+COMMAND = ("SKIP", "assignment", "IF", "WHILE", "'('")
+EOF = ("end of input",)
+
+# (parser, source, position, message, expected) for malformed inputs.
+# Lexing finishes before parsing starts, so a bad character anywhere wins
+# over an earlier syntax error.  Tabs and '\r' count as one column each.
 ERROR_TABLE = [
-    ("com", "x := 1 ;\ny := 2 ;\nz := 3 ? 4", (3, 8), "unexpected character '?'"),
-    ("com", "x := 1 ;\n\ty := 2 ;\n\t\tz := @", (3, 8), "unexpected character '@'"),
-    ("com", "\tx\t:=\t1\t?", (1, 9), "unexpected character '?'"),
-    ("com", "x := 1 ;\r\ny := 2 ;\r\nz := #", (3, 6), "unexpected character '#'"),
-    ("com", "x := 1 ;\r\nWHILE DO SKIP OD", (2, 7), "expected boolean expression"),
-    ("com", "-- a comment ; with ? symbols\nx := $", (2, 6), "unexpected character '$'"),
-    ("com", "x := 1 -- a comment\n; WHILE x < DO SKIP OD", (2, 13), "expected arithmetic expression"),
-    ("com", "x := --1", (1, 9), "expected arithmetic expression"),
-    ("com", "x := --1\n", (2, 1), "expected arithmetic expression"),
-    ("com", "x := -1 ; y := -", (1, 16), "unexpected character '-'"),
-    ("com", "x := - 1", (1, 6), "unexpected character '-'"),
-    ("com", "x := -", (1, 6), "unexpected character '-'"),
-    ("com", "-", (1, 1), "unexpected character '-'"),
-    ("aexp", "1 - 2", (1, 3), "unexpected character '-'"),
-    ("com", "SKIP SKIP ?", (1, 11), "unexpected character '?'"),
-    ("com", "", (1, 1), "expected command"),
-    ("com", "   \n  -- only a comment", (2, 20), "expected command"),
-    ("com", "SKIP ; -- trailing\n", (2, 1), "expected command"),
-    ("com", "IF x < 1 THEN SKIP ELSE SKIP", (1, 29), "expected keyword FI"),
-    ("com", "(SKIP ; SKIP", (1, 13), "expected ')'"),
-    ("bexp", "(x < 1", (1, 7), "expected ')'"),
-    ("bexp", "((x) + 1 <", (1, 11), "expected arithmetic expression"),
-    ("com", "x :- 1", (1, 3), "unexpected character ':'"),
-    ("com", "x := 1 & 2", (1, 8), "unexpected character '&'"),
-    ("com", "_x := 1", (1, 1), "unexpected character '_'"),
-    ("com", "x := 1 ; y", (1, 11), "expected ':='"),
-    ("com", "WHILE := 2", (1, 7), "expected boolean expression"),
-    ("com", "x := 1\n\n\n  SKIP", (4, 3), "unexpected input after complete phrase: 'SKIP'"),
-    ("com", "x := 1\x0c", (1, 7), "unexpected character '\\x0c'"),
-    ("com", "x :=\xa01", (1, 5), "unexpected character '\\xa0'"),
+    ("com", "x := 1 ;\ny := 2 ;\nz := 3 ? 4", (3, 8), "unexpected character '?'", ()),
+    ("com", "x := 1 ;\n\ty := 2 ;\n\t\tz := @", (3, 8), "unexpected character '@'", ()),
+    ("com", "\tx\t:=\t1\t?", (1, 9), "unexpected character '?'", ()),
+    ("com", "x := 1 ;\r\ny := 2 ;\r\nz := #", (3, 6), "unexpected character '#'", ()),
+    ("com", "x := 1 ;\r\nWHILE DO SKIP OD", (2, 7), "expected boolean expression", BOOL),
+    ("com", "-- a comment ; with ? symbols\nx := $", (2, 6), "unexpected character '$'", ()),
+    ("com", "x := 1 -- a comment\n; WHILE x < DO SKIP OD", (2, 13), "expected arithmetic expression", ARITH),
+    ("com", "x := --1", (1, 9), "expected arithmetic expression", ARITH),
+    ("com", "x := --1\n", (2, 1), "expected arithmetic expression", ARITH),
+    ("com", "x := -1 ; y := -", (1, 16), "unexpected character '-'", ()),
+    ("com", "x := - 1", (1, 6), "unexpected character '-'", ()),
+    ("com", "x := -", (1, 6), "unexpected character '-'", ()),
+    ("com", "-", (1, 1), "unexpected character '-'", ()),
+    ("aexp", "1 - 2", (1, 3), "unexpected character '-'", ()),
+    ("com", "SKIP SKIP ?", (1, 11), "unexpected character '?'", ()),
+    ("com", "", (1, 1), "expected command", COMMAND),
+    ("com", "   \n  -- only a comment", (2, 20), "expected command", COMMAND),
+    ("com", "SKIP ; -- trailing\n", (2, 1), "expected command", COMMAND),
+    ("com", "IF x < 1 THEN SKIP ELSE SKIP", (1, 29), "expected keyword FI", ("FI",)),
+    ("com", "(SKIP ; SKIP", (1, 13), "expected ')'", ("')'",)),
+    ("bexp", "(x < 1", (1, 7), "expected ')'", ("')'",)),
+    ("bexp", "((x) + 1 <", (1, 11), "expected arithmetic expression", ARITH),
+    ("com", "x :- 1", (1, 3), "unexpected character ':'", ()),
+    ("com", "x := 1 & 2", (1, 8), "unexpected character '&'", ()),
+    ("com", "_x := 1", (1, 1), "unexpected character '_'", ()),
+    ("com", "x := 1 ; y", (1, 11), "expected ':='", ("':='",)),
+    ("com", "WHILE := 2", (1, 7), "expected boolean expression", BOOL),
+    ("com", "x := 1\n\n\n  SKIP", (4, 3), "unexpected input after complete phrase: 'SKIP'", EOF),
+    ("com", "x := 1\x0c", (1, 7), "unexpected character '\\x0c'", ()),
+    ("com", "x :=\xa01", (1, 5), "unexpected character '\\xa0'", ()),
+    # Each way a guard's '(' resolves: an unclosed operand, a closed
+    # operand with no '<', a boolean group used as an operand, and nothing.
+    ("com", "IF (x THEN SKIP ELSE SKIP FI", (1, 7), "expected '<'", ("'<'",)),
+    ("com", "IF ((x) THEN SKIP ELSE SKIP FI", (1, 9), "expected '<'", ("'<'",)),
+    ("com", "IF (x) THEN SKIP ELSE SKIP FI", (1, 8), "expected '<'", ("'<'",)),
+    ("com", "IF (x && true) THEN SKIP ELSE SKIP FI", (1, 7), "expected '<'", ("'<'",)),
+    ("com", "IF (! x) THEN SKIP ELSE SKIP FI", (1, 8), "expected '<'", ("'<'",)),
+    ("com", "IF ((x < 1) + 2 < 3) THEN SKIP ELSE SKIP FI", (1, 13), "expected ')'", ("')'",)),
+    ("com", "IF ( THEN SKIP ELSE SKIP FI", (1, 6), "expected boolean expression", BOOL),
+    ("bexp", "(true) < 1", (1, 8), "unexpected input after complete phrase: '<'", EOF),
 ]
 
 
-@pytest.mark.parametrize("kind,src,position,message", ERROR_TABLE)
-def test_error_positions_and_messages(kind, src, position, message):
+@pytest.mark.parametrize("kind,src,position,message,expected", ERROR_TABLE)
+def test_error_positions_and_messages(kind, src, position, message, expected):
     parse = {"com": parse_com, "aexp": parse_aexp, "bexp": parse_bexp}[kind]
     with pytest.raises(ParseError) as exc:
         parse(src)
-    assert (exc.value.position, exc.value.message) == (position, message)
+    assert (exc.value.position, exc.value.message, exc.value.expected) == (position, message, list(expected))
 
 
 @pytest.mark.parametrize(
