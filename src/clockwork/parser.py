@@ -24,9 +24,14 @@ comments run from '--' to end of line.  Whitespace (space, tab, '\\r',
 letter or digit included, is a lexical error.
 
 A '(' at the start of a bconj is ambiguous: it may open a parenthesized
-boolean or the left operand of a comparison.  The parser first attempts
-`aexp "<" aexp` and falls back to `"(" bexp ")"`, reporting whichever
-attempt progressed further when both fail.
+boolean or the left operand of a comparison.  The parser reads it once:
+the contents parse as a bconj that may also end as an aexp at the closing
+')'.  A boolean result goes on with ("&&" bexp)? ")", an aexp result with
+("+" term)* "<" aexp.  The first token that rules one reading out settles
+the group, so a syntax error is where the last live reading failed, the
+furthest any reading got.  Where both fail at the same token, the error
+is the boolean reading's: an aexp that is followed by neither ')' nor '<'
+reports "expected '<'".
 """
 
 from __future__ import annotations
@@ -89,20 +94,6 @@ def _token_offset(text: str, index: int) -> int:
     return m.start(1) if m.group(1) else m.end()
 
 
-class _Fail(Exception):
-    """A syntax error at token `index`; `_parse` turns it into a ParseError.
-
-    The backtracking in `bconj` raises and catches these, so they carry no
-    source position: finding one costs a scan of the input.
-    """
-
-    def __init__(self, index: int, message: str, expected: tuple[str, ...]):
-        super().__init__(message)
-        self.index = index
-        self.message = message
-        self.expected = expected
-
-
 def _is_ident(tok: str) -> bool:
     return tok[:1].isalpha() and tok not in KEYWORDS
 
@@ -111,6 +102,7 @@ class _Parser:
     """Recursive descent over the token texts."""
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
 
@@ -118,8 +110,9 @@ class _Parser:
     def cur(self) -> str:
         return self.tokens[self.pos][0]
 
-    def _error(self, message: str, expected: tuple[str, ...] = ()) -> _Fail:
-        return _Fail(self.pos, message, expected)
+    def _error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+        """A ParseError at the current token."""
+        return _error_at(self.text, _token_offset(self.text, self.pos), message, expected)
 
     def at(self, text: str) -> bool:
         """Whether the current token is the symbol or keyword `text`."""
@@ -179,7 +172,12 @@ class _Parser:
             return And(node, self.bexp())
         return node
 
-    def bconj(self) -> Bexp:
+    def bconj(self, group: bool = False) -> Aexp | Bexp:
+        """A bconj, or with `group` the contents of a '(' that may be an aexp.
+
+        An Aexp comes back only with `group`, and then the current token
+        is the ')' that closes it.
+        """
         tok = self.cur
         if tok == "!":
             self.pos += 1
@@ -191,34 +189,27 @@ class _Parser:
             self.pos += 1
             return Bc(False)
         if tok == "(":
-            # Ambiguous: comparison whose left side is parenthesized, or a
-            # parenthesized boolean.  Try the comparison first.
-            save = self.pos
-            try:
-                return self._comparison()
-            except _Fail as cmp_err:
-                cmp_pos = self.pos
-                self.pos = save
-                try:
-                    self.pos += 1  # '('
-                    node = self.bexp()
-                    self.expect_sym(")")
-                    return node
-                except _Fail as par_err:
-                    if self.pos >= cmp_pos:
-                        raise par_err
-                    self.pos = cmp_pos
-                    raise cmp_err
-        return self._comparison()
-
-    def _comparison(self) -> Bexp:
-        tok = self.cur
-        if not (tok[:1] in _INT_START or _is_ident(tok) or tok == "("):
+            self.pos += 1
+            left = self.bconj(group=True)
+            if isinstance(left, Bexp):
+                if self.at("&&"):
+                    self.pos += 1
+                    left = And(left, self.bexp())
+                self.expect_sym(")")
+                return left
+            self.pos += 1  # the ')' after an aexp: the group is a term
+        elif tok[:1] in _INT_START or _is_ident(tok):
+            left = self.term()
+        else:
             raise self._error(
                 "expected boolean expression",
                 ("'!'", "true", "false", "comparison", "'('"),
             )
-        left = self.aexp()
+        while self.at("+"):
+            self.pos += 1
+            left = Plus(left, self.term())
+        if group and self.at(")"):
+            return left
         self.expect_sym("<")
         return Less(left, self.aexp())
 
@@ -274,11 +265,8 @@ class _Parser:
 
 def _parse(text: str, rule):
     p = _Parser(text)
-    try:
-        node = rule(p)
-        p.expect_eof()
-    except _Fail as e:
-        raise _error_at(text, _token_offset(text, e.index), e.message, e.expected) from None
+    node = rule(p)
+    p.expect_eof()
     return node
 
 

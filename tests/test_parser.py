@@ -19,6 +19,7 @@ from clockwork.imp import (
     While,
     pretty,
 )
+from clockwork import parser
 from clockwork.parser import ParseError, parse_aexp, parse_bexp, parse_com
 from clockwork.testkit import GenConfig, SplitMix64, gen_com
 
@@ -214,6 +215,38 @@ def test_overlong_literals_are_parse_errors_at_the_literal():
             parse(src)
         assert exc.value.position == position
         assert exc.value.message == f"integer literal too long ({digits + 1} digits)"
+
+
+def _parser_calls(text: str) -> int:
+    """Python-level calls into parser.py made while parsing `text`."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == parser.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        parse_com(text)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["IF {open}true{close} THEN SKIP ELSE SKIP FI", "IF {open}x < 1{close} && true THEN SKIP ELSE SKIP FI"],
+    ids=["parenthesized-true", "parenthesized-comparison"],
+)
+def test_parsing_work_grows_linearly_with_boolean_nesting(shape):
+    # Counted calls, not wall-clock time: doubling the depth of nested
+    # boolean parentheses may at most double the work.  A parser that
+    # tries each '(' both ways does about four times as much.
+    def calls(n):
+        return _parser_calls(shape.format(open="(" * n, close=")" * n))
+
+    assert calls(200) <= 2.1 * calls(100)
 
 
 def test_long_straight_line_program_parses_and_prints():
