@@ -238,9 +238,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     ids: Sequence[str] = PROPERTY_IDS if args.all else args.properties
     if not ids:
         _usage("clockwork: nothing to check; give property ids or --all")
-    for pid in ids:
+    for i, pid in enumerate(ids):
         if pid not in PROPERTY_IDS:
             _usage(f"clockwork: unknown property id {pid!r} (known: {', '.join(PROPERTY_IDS)})")
+        if pid in ids[:i]:
+            _usage(f"clockwork: property id {pid!r} given twice")
     if args.cases < 0:
         _usage("clockwork: --cases must be non-negative")
     seed = args.seed

@@ -466,6 +466,14 @@ def test_check_ids_with_all_is_a_usage_error(pid):
     assert p.stderr == "clockwork: give property ids or --all, not both\n"
 
 
+@pytest.mark.parametrize("pids", [("P1", "P1"), ("P2", "RT", "P2")])
+def test_check_repeated_id_is_a_usage_error(pids):
+    p = run_cli("check", *pids, "--cases", "2", "--seed", "1")
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert p.stderr == f"clockwork: property id {pids[0]!r} given twice\n"
+
+
 def test_check_seed_env_var():
     a = run_cli("check", "P4", "--cases", "5", env_extra={"CLOCKWORK_SEED": "777"})
     b = run_cli("check", "P4", "--cases", "5", "--seed", "777")
