@@ -25,10 +25,14 @@ def _max_size(argv: list[str]) -> int:
     if len(argv) < 2:
         return 5
     text = argv[1]
-    if not (text.isascii() and text.isdigit() and int(text) >= 1):
-        print(f"usage: confirm_search_bound.py [MAX_SIZE]: MAX_SIZE must be an ASCII decimal >= 1, got {text!r}", file=sys.stderr)
-        sys.exit(2)
-    return int(text)
+    if len(argv) > 2:
+        problem = f"unexpected argument {argv[2]!r}"
+    elif text.isascii() and text.isdigit() and int(text) >= 1:
+        return int(text)
+    else:
+        problem = f"MAX_SIZE must be an ASCII decimal >= 1, got {text!r}"
+    print(f"usage: confirm_search_bound.py [MAX_SIZE]: {problem}", file=sys.stderr)
+    sys.exit(2)
 
 
 def main() -> int:

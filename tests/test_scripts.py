@@ -38,3 +38,10 @@ def test_confirm_search_bound_takes_an_ascii_decimal_size(max_size):
     assert p.returncode == 2
     assert p.stdout == ""
     assert p.stderr == f"usage: confirm_search_bound.py [MAX_SIZE]: MAX_SIZE must be an ASCII decimal >= 1, got {max_size!r}\n"
+
+
+def test_confirm_search_bound_takes_at_most_one_argument():
+    p = _confirm_search_bound("1", "junk")
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr == "usage: confirm_search_bound.py [MAX_SIZE]: unexpected argument 'junk'\n"
