@@ -148,11 +148,11 @@ Com = Union[Skip, Set, Seq, If, While]
 class Store:
     """Total mapping from variable names to integers, default 0.
 
-    ``_wrap`` is the one place that drops zero bindings, and the
-    constructor, ``set`` and the evaluators all go through it, so two
-    stores compare equal exactly when they agree on every name (a bound
-    ``x = 0`` is indistinguishable from an unbound ``x``).  Instances are
-    immutable; ``set`` returns a new store.
+    No binding is zero: ``_wrap``, which the constructor and the
+    evaluators go through, drops zero bindings, and ``set`` never makes
+    one.  So two stores compare equal exactly when they agree on every
+    name (a bound ``x = 0`` is indistinguishable from an unbound ``x``).
+    Instances are immutable; ``set`` returns a new store.
     """
 
     __slots__ = ("_m",)
@@ -171,6 +171,11 @@ class Store:
         its zero bindings."""
         if 0 in m.values():
             m = {k: v for k, v in m.items() if v}
+        return cls._adopt(m)
+
+    @classmethod
+    def _adopt(cls, m: dict[str, int]) -> "Store":
+        """`_wrap` for a dict known to hold no zero: no scan."""
         obj = object.__new__(cls)
         obj._m = m
         return obj
@@ -189,8 +194,11 @@ class Store:
         if name not in self._m:
             _check_name(name)
         m = dict(self._m)
-        m[name] = value
-        return Store._wrap(m)
+        if value:
+            m[name] = value
+        else:
+            m.pop(name, None)
+        return Store._adopt(m)
 
     def to_dict(self) -> dict[str, int]:
         """Nonzero bindings as a plain dict (sorted by name)."""
