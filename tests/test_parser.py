@@ -182,7 +182,12 @@ ERROR_TABLE = [
 ]
 
 
-@pytest.mark.parametrize("kind,src,position,message,expected", ERROR_TABLE)
+@pytest.mark.parametrize(
+    "kind,src,position,message,expected",
+    ERROR_TABLE,
+    # A row's id names its first four columns only.
+    ids=[f"{kind}-{src}-position{i}-{message}" for i, (kind, src, _, message, _) in enumerate(ERROR_TABLE)],
+)
 def test_error_positions_and_messages(kind, src, position, message, expected):
     parse = {"com": parse_com, "aexp": parse_aexp, "bexp": parse_bexp}[kind]
     with pytest.raises(ParseError) as exc:
