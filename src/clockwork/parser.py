@@ -23,6 +23,14 @@ comments run from '--' to end of line.  Whitespace (space, tab, '\\r',
 '\\n') between tokens is insignificant.  Any other character, a non-ASCII
 letter or digit included, is a lexical error.
 
+The parser is one loop over the token texts, with no recursion, so input
+of any nesting depth that fits in memory parses.  Each step either reads
+the start of an atom, a bconj or a term, or hands a finished phrase to
+the frame on top of an explicit stack: a phrase waiting for its next part.
+Within one parse every N and V leaf is built once per distinct token text
+and shared.  Command nodes are built per occurrence, because
+`smallstep.TraceRenderer` keys its memo of siblings by `id`.
+
 A '(' at the start of a bconj is ambiguous: it may open a parenthesized
 boolean or the left operand of a comparison.  The parser reads it once:
 the contents parse as a bconj that may also end as an aexp at the closing
@@ -31,7 +39,9 @@ the contents parse as a bconj that may also end as an aexp at the closing
 the group, so a syntax error is where the last live reading failed, the
 furthest any reading got.  Where both fail at the same token, the error
 is the boolean reading's: an aexp that is followed by neither ')' nor '<'
-reports "expected '<'".
+reports "expected '<'".  On the stack, the bconj read just after a '('
+ends as an aexp when its operand meets the ')': the '(' frame then turns
+into the left operand of the comparison outside.
 """
 
 from __future__ import annotations
@@ -42,16 +52,34 @@ import re
 from .imp import KEYWORDS, Aexp, And, Bc, Bexp, Com, If, Less, N, Not, Plus, Seq, Set, Skip, V, While
 
 # One match per token: whitespace and comments, then the token's text in
-# group 1.  At a character that starts no token, group 2 takes the rest of
-# the input, which ends the scan; at the end of the input both groups are
-# empty.  The three alternatives cannot all fail, so a match never
-# backtracks into the whitespace, and each match starts where the previous
-# one ended: findall skips no character.  The classes are ASCII-only.
-_LEX = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*"
-    r"(?:([A-Za-z][A-Za-z0-9_]*|-?[0-9]+|:=|&&|[;+<!()])|([\s\S]+)|\Z)"
-)
+# the one group, the most frequent kinds first.  At a character that starts
+# no token, the group takes the rest of the input, which ends the scan; at
+# the end of the input it is empty.  The alternatives cannot all fail, so a
+# match never backtracks into the whitespace, and each match starts where
+# the previous one ended: findall skips no character.  The classes are
+# ASCII-only.
+_TOKEN = r"[;+<!()]|:=|[A-Za-z][A-Za-z0-9_]*|-?[0-9]+|&&"
+_LEX = re.compile(r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*(" + _TOKEN + r"|[\s\S]+|\Z)")
+_IS_TOKEN = re.compile(_TOKEN).match
 _INT_START = frozenset("-0123456789")
+
+# What the loop reads next: the start of an atom, a bconj or a term.
+_ATOM, _BCONJ, _TERM = range(3)
+# The frames on its stack, kind first:
+#   (_SEQ, atoms)                  the atoms before the current one of a ';' chain
+#   (_CONJ, conjuncts)             the same for an '&&' chain
+#   (_PARTS, keys, build, parts)   IF or WHILE: each part read is followed by its key
+#   [_TERMS, left]                 an aexp's '+' chain so far, None before its first term
+#   (_CMP,)                        a bconj's aexp, which goes on with '<' aexp
+#   (_PAIR, build, first)          Set or Less, built when its aexp is read
+#   (_NOT,), (_OPEN,), (_CLOSE,)   a '!', a bconj's '(' and any other '('
+_SEQ, _CONJ, _PARTS, _TERMS, _CMP, _PAIR, _NOT, _OPEN, _CLOSE = range(9)
+_IF_KEYS, _WHILE_KEYS = ("THEN", "ELSE", "FI"), ("DO", "OD")
+
+# The expected sets a ParseError reports.
+_ARITH = ("integer literal", "identifier", "'('")
+_BOOL = ("'!'", "true", "false", "comparison", "'('")
+_COMMAND = ("SKIP", "assignment", "IF", "WHILE", "'('")
 
 
 class ParseError(Exception):
@@ -76,14 +104,15 @@ def _error_at(text: str, offset: int, message: str, expected: tuple[str, ...] = 
     return ParseError(line, col, message, expected)
 
 
-def _lex(text: str) -> list[tuple[str, str]]:
-    """The (text, "") token tuples of `text`, ending with ("", "") for end of input.
+def _lex(text: str) -> list[str]:
+    """The token texts of `text`, ending with "" for end of input.
 
     Raises ParseError at the first character that starts no token.
     """
     tokens = _LEX.findall(text)
-    if len(tokens) > 1 and tokens[-2][1]:
-        rest = tokens[-2][1]
+    # Only the last match before the end can hold the rest of the input.
+    if len(tokens) > 1 and tokens[-2] and not _IS_TOKEN(tokens[-2]):
+        rest = tokens[-2]
         raise _error_at(text, len(text) - len(rest), f"unexpected character {rest[0]!r}")
     return tokens
 
@@ -94,192 +123,208 @@ def _token_offset(text: str, index: int) -> int:
     return m.start(1) if m.group(1) else m.end()
 
 
-def _is_ident(tok: str) -> bool:
-    return tok[:1].isalpha() and tok not in KEYWORDS
+def _fail(text: str, index: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """A ParseError at token `index` of `text`."""
+    return _error_at(text, _token_offset(text, index), message, expected)
 
 
-class _Parser:
-    """Recursive descent over the token texts."""
+def _missing(text: str, index: int, tok: str) -> ParseError:
+    """The ParseError for a missing symbol or keyword `tok` at token `index`."""
+    if tok.isalpha():
+        return _fail(text, index, f"expected keyword {tok}", (tok,))
+    return _fail(text, index, f"expected {tok!r}", (f"'{tok}'",))
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _lex(text)
-        self.pos = 0
 
-    @property
-    def cur(self) -> str:
-        return self.tokens[self.pos][0]
+def _leaf(text: str, index: int, tok: str) -> N | V | bool:
+    """The leaf that token `index`, `tok`, reads as in a term, or False."""
+    if tok[:1] in _INT_START:
+        try:
+            return N(int(tok))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise _fail(text, index, f"integer literal too long ({len(tok.lstrip('-'))} digits)") from None
+    if tok[:1].isalpha() and tok not in KEYWORDS:
+        return V(tok)
+    return False
 
-    def _error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        """A ParseError at the current token."""
-        return _error_at(self.text, _token_offset(self.text, self.pos), message, expected)
 
-    def at(self, text: str) -> bool:
-        """Whether the current token is the symbol or keyword `text`."""
-        return self.tokens[self.pos][0] == text
-
-    def expect_sym(self, sym: str) -> None:
-        if not self.at(sym):
-            raise self._error(f"expected {sym!r}", (f"'{sym}'",))
-        self.pos += 1
-
-    def expect_kw(self, kw: str) -> None:
-        if not self.at(kw):
-            raise self._error(f"expected keyword {kw}", (kw,))
-        self.pos += 1
-
-    def expect_eof(self) -> None:
-        if self.cur:
-            raise self._error(f"unexpected input after complete phrase: {self.cur!r}", ("end of input",))
-
-    # --- arithmetic expressions ---
-
-    def aexp(self) -> Aexp:
-        node = self.term()
-        while self.at("+"):
-            self.pos += 1
-            node = Plus(node, self.term())
-        return node
-
-    def term(self) -> Aexp:
-        tok = self.cur
-        if tok[:1] in _INT_START:
-            try:
-                value = int(tok)
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise self._error(f"integer literal too long ({len(tok.lstrip('-'))} digits)") from None
-            self.pos += 1
-            return N(value)
-        if _is_ident(tok):
-            self.pos += 1
-            return V(tok)
-        if tok == "(":
-            self.pos += 1
-            node = self.aexp()
-            self.expect_sym(")")
-            return node
-        raise self._error(
-            "expected arithmetic expression",
-            ("integer literal", "identifier", "'('"),
-        )
-
-    # --- boolean expressions ---
-
-    def bexp(self) -> Bexp:
-        node = self.bconj()
-        if self.at("&&"):
-            self.pos += 1
-            return And(node, self.bexp())
-        return node
-
-    def bconj(self, group: bool = False) -> Aexp | Bexp:
-        """A bconj, or with `group` the contents of a '(' that may be an aexp.
-
-        An Aexp comes back only with `group`, and then the current token
-        is the ')' that closes it.
-        """
-        tok = self.cur
-        if tok == "!":
-            self.pos += 1
-            return Not(self.bconj())
-        if tok == "true":
-            self.pos += 1
-            return Bc(True)
-        if tok == "false":
-            self.pos += 1
-            return Bc(False)
-        if tok == "(":
-            self.pos += 1
-            left = self.bconj(group=True)
-            if isinstance(left, Bexp):
-                if self.at("&&"):
-                    self.pos += 1
-                    left = And(left, self.bexp())
-                self.expect_sym(")")
-                return left
-            self.pos += 1  # the ')' after an aexp: the group is a term
-        elif tok[:1] in _INT_START or _is_ident(tok):
-            left = self.term()
+def _parse(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
+    """Parse all of `text` as the phrase that `frame` collects, starting with a `want`."""
+    toks = _lex(text)
+    leaves: dict[str, N | V | bool] = {}  # token text -> its leaf, or False
+    stack = [frame]
+    pos = 0
+    while True:
+        # Read the start of a `want`, pushing a frame for the rest, until a
+        # phrase is complete in `val`.
+        tok = toks[pos]
+        if want == _ATOM:
+            if tok[:1].isalpha() and toks[pos + 1] == ":=" and tok not in KEYWORDS:
+                leaf = leaves.get(toks[pos + 2])
+                if leaf and toks[pos + 3] != "+":
+                    val = Set(tok, leaf)
+                    pos += 3
+                else:
+                    stack.append((_PAIR, Set, tok))
+                    stack.append([_TERMS, None])
+                    pos += 2
+                    want = _TERM
+                    continue
+            elif tok == "SKIP":
+                val = Skip()
+                pos += 1
+            elif tok == "IF" or tok == "WHILE":
+                stack.append((_PARTS, _IF_KEYS, If, []) if tok == "IF" else (_PARTS, _WHILE_KEYS, While, []))
+                stack.append((_CONJ, []))
+                pos += 1
+                want = _BCONJ
+                continue
+            elif tok == "(":
+                stack.append((_CLOSE,))
+                stack.append((_SEQ, []))
+                pos += 1
+                continue
+            elif tok[:1].isalpha() and tok not in KEYWORDS:
+                raise _missing(text, pos + 1, ":=")
+            else:
+                raise _fail(text, pos, "expected command", _COMMAND)
         else:
-            raise self._error(
-                "expected boolean expression",
-                ("'!'", "true", "false", "comparison", "'('"),
-            )
-        while self.at("+"):
-            self.pos += 1
-            left = Plus(left, self.term())
-        if group and self.at(")"):
-            return left
-        self.expect_sym("<")
-        return Less(left, self.aexp())
+            leaf = leaves.get(tok)
+            if leaf is None:
+                leaf = leaves[tok] = _leaf(text, pos, tok)
+            if want == _TERM:
+                if leaf:
+                    val = leaf
+                    pos += 1
+                elif tok == "(":
+                    stack.append((_CLOSE,))
+                    stack.append([_TERMS, None])
+                    pos += 1
+                    continue
+                else:
+                    raise _fail(text, pos, "expected arithmetic expression", _ARITH)
+            elif leaf:
+                right = leaves.get(toks[pos + 2]) if toks[pos + 1] == "<" else None
+                if right and toks[pos + 3] != "+":
+                    val = Less(leaf, right)
+                    pos += 3
+                else:
+                    stack.append((_CMP,))
+                    stack.append([_TERMS, None])
+                    val = leaf
+                    pos += 1
+            elif tok == "!":
+                stack.append((_NOT,))
+                pos += 1
+                continue
+            elif tok == "true" or tok == "false":
+                val = Bc(tok == "true")
+                pos += 1
+            elif tok == "(":
+                stack.append((_OPEN,))
+                pos += 1
+                continue
+            else:
+                raise _fail(text, pos, "expected boolean expression", _BOOL)
 
-    # --- commands ---
-
-    def com(self) -> Com:
-        # seq ::= atom (";" seq)?, read as a loop and folded from the right,
-        # so a long chain of ';' needs no recursion.
-        atoms = [self.atom()]
-        while self.at(";"):
-            self.pos += 1
-            atoms.append(self.atom())
-        node = atoms.pop()
-        while atoms:
-            node = Seq(atoms.pop(), node)
-        return node
-
-    def atom(self) -> Com:
-        tok = self.cur
-        if tok == "SKIP":
-            self.pos += 1
-            return Skip()
-        if _is_ident(tok):
-            self.pos += 1
-            self.expect_sym(":=")
-            return Set(tok, self.aexp())
-        if tok == "IF":
-            self.pos += 1
-            guard = self.bexp()
-            self.expect_kw("THEN")
-            then_branch = self.com()
-            self.expect_kw("ELSE")
-            else_branch = self.com()
-            self.expect_kw("FI")
-            return If(guard, then_branch, else_branch)
-        if tok == "WHILE":
-            self.pos += 1
-            guard = self.bexp()
-            self.expect_kw("DO")
-            body = self.com()
-            self.expect_kw("OD")
-            return While(guard, body)
-        if tok == "(":
-            self.pos += 1
-            node = self.com()
-            self.expect_sym(")")
-            return node
-        raise self._error(
-            "expected command",
-            ("SKIP", "assignment", "IF", "WHILE", "'('"),
-        )
-
-
-def _parse(text: str, rule):
-    p = _Parser(text)
-    node = rule(p)
-    p.expect_eof()
-    return node
+        # Hand `val` to the frames, until one needs more input.
+        while stack:
+            frame = stack[-1]
+            kind = frame[0]
+            if kind == _SEQ:
+                if toks[pos] == ";":
+                    frame[1].append(val)
+                    pos += 1
+                    want = _ATOM
+                    break
+                stack.pop()
+                atoms = frame[1]
+                while atoms:
+                    val = Seq(atoms.pop(), val)
+            elif kind == _PARTS:
+                keys, parts = frame[1], frame[3]
+                parts.append(val)
+                key = keys[len(parts) - 1]
+                if toks[pos] != key:
+                    raise _missing(text, pos, key)
+                pos += 1
+                if len(parts) < len(keys):
+                    stack.append((_SEQ, []))
+                    want = _ATOM
+                    break
+                stack.pop()
+                val = frame[2](*parts)
+            elif kind == _CONJ:
+                parts = frame[1]
+                if toks[pos] == "&&":
+                    parts.append(val)
+                    pos += 1
+                    want = _BCONJ
+                    break
+                stack.pop()
+                while parts:
+                    val = And(parts.pop(), val)
+            elif kind == _TERMS:
+                left = val if frame[1] is None else Plus(frame[1], val)
+                while toks[pos] == "+" and (leaf := leaves.get(toks[pos + 1])):
+                    left = Plus(left, leaf)
+                    pos += 2
+                if toks[pos] == "+":
+                    frame[1] = left
+                    pos += 1
+                    want = _TERM
+                    break
+                stack.pop()
+                val = left
+            elif kind == _PAIR:
+                stack.pop()
+                val = frame[1](frame[2], val)
+            elif kind == _OPEN and toks[pos] == "&&":
+                # The group is a conjunction: the rest of it, then its ')'.
+                stack[-1] = (_CLOSE,)
+                stack.append((_CONJ, [val]))
+                pos += 1
+                want = _BCONJ
+                break
+            elif kind == _CLOSE or kind == _OPEN:
+                if toks[pos] != ")":
+                    raise _missing(text, pos, ")")
+                stack.pop()
+                pos += 1
+            elif kind == _CMP:
+                stack.pop()
+                if toks[pos] == ")" and stack[-1][0] == _OPEN:
+                    # A '(' group that ends as an aexp is the operand of a
+                    # comparison outside it.
+                    stack[-1] = (_CMP,)
+                    stack.append([_TERMS, None])
+                    pos += 1
+                    continue
+                if toks[pos] != "<":
+                    raise _missing(text, pos, "<")
+                stack.append((_PAIR, Less, val))
+                stack.append([_TERMS, None])
+                pos += 1
+                want = _TERM
+                break
+            else:  # _NOT
+                stack.pop()
+                val = Not(val)
+        else:
+            if toks[pos]:
+                raise _fail(text, pos, f"unexpected input after complete phrase: {toks[pos]!r}", ("end of input",))
+            return val
 
 
 def parse_com(text: str) -> Com:
     """Parse a complete command; raises ParseError on any violation."""
-    return _parse(text, _Parser.com)
+    return _parse(text, _ATOM, (_SEQ, []))
 
 
 def parse_aexp(text: str) -> Aexp:
     """Parse a complete arithmetic expression."""
-    return _parse(text, _Parser.aexp)
+    return _parse(text, _TERM, [_TERMS, None])
 
 
 def parse_bexp(text: str) -> Bexp:
     """Parse a complete boolean expression."""
-    return _parse(text, _Parser.bexp)
+    return _parse(text, _BCONJ, (_CONJ, []))

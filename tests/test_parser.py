@@ -222,21 +222,25 @@ def test_overlong_literals_are_parse_errors_at_the_literal():
         assert exc.value.message == f"integer literal too long ({digits + 1} digits)"
 
 
-def _parser_calls(text: str) -> int:
-    """Python-level calls into parser.py made while parsing `text`."""
-    calls = 0
+def _parser_lines(text: str) -> int:
+    """Lines of parser.py executed while parsing `text`."""
+    lines = 0
 
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename == parser.__file__:
-            calls += 1
+    def count(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count
 
-    sys.setprofile(profile)
+    def trace(frame, event, arg):
+        return count if frame.f_code.co_filename == parser.__file__ else None
+
+    sys.settrace(trace)
     try:
         parse_com(text)
     finally:
-        sys.setprofile(None)
-    return calls
+        sys.settrace(None)
+    return lines
 
 
 @pytest.mark.parametrize(
@@ -245,13 +249,77 @@ def _parser_calls(text: str) -> int:
     ids=["parenthesized-true", "parenthesized-comparison"],
 )
 def test_parsing_work_grows_linearly_with_boolean_nesting(shape):
-    # Counted calls, not wall-clock time: doubling the depth of nested
-    # boolean parentheses may at most double the work.  A parser that
-    # tries each '(' both ways does about four times as much.
-    def calls(n):
-        return _parser_calls(shape.format(open="(" * n, close=")" * n))
+    # Counted executed lines, not wall-clock time: doubling the depth of
+    # nested boolean parentheses may at most double the work.  A parser
+    # that tries each '(' both ways does about four times as much.  Lines,
+    # not calls, because a parser that loops makes the same few calls at
+    # any depth.
+    def lines(n):
+        return _parser_lines(shape.format(open="(" * n, close=")" * n))
 
-    assert calls(200) <= 2.1 * calls(100)
+    assert lines(200) <= 2.1 * lines(100)
+
+
+DEEP = 10_000  # ten times the default recursion limit
+
+
+def _unwind(node, cls, attr, check=lambda node: True):
+    """Follow `attr` down from `node` while the nodes are `cls` and pass `check`.
+
+    Returns how many it passed and the node below them.  A loop, because
+    AST equality, repr and hash recurse.
+    """
+    depth = 0
+    while type(node) is cls and check(node):
+        node, depth = getattr(node, attr), depth + 1
+    return depth, node
+
+
+X_LT_1, SKIP = Less(V("x"), N(1)), Skip()
+
+# (entry point, 10,000-deep input, node class and field of its spine, check
+# of each spine node, spine length, node below the spine)
+DEEP_INPUTS = [
+    (parse_aexp, "(" * DEEP + "1 + x" + ")" * DEEP, Plus, "left", lambda n: n.right == V("x"), 1, N(1)),
+    (parse_aexp, "(" * DEEP + "x" + " + 1)" * DEEP, Plus, "left", lambda n: n.right == N(1), DEEP, V("x")),
+    (parse_bexp, "(" * DEEP + "x < 1" + ")" * DEEP, Less, "left", lambda n: n.right == N(1), 1, V("x")),
+    (parse_bexp, "(" * DEEP + "x" + ")" * DEEP + " < 1", Less, "left", lambda n: n.right == N(1), 1, V("x")),
+    (parse_bexp, "! " * DEEP + "true", Not, "arg", lambda n: True, DEEP, Bc(True)),
+    (parse_bexp, " && ".join(["x < 1"] * DEEP), And, "right", lambda n: n.left == X_LT_1, DEEP - 1, X_LT_1),
+    (
+        parse_com,
+        "IF true THEN " * DEEP + "SKIP" + " ELSE SKIP FI" * DEEP,
+        If,
+        "then_branch",
+        lambda n: n.guard == Bc(True) and n.else_branch == SKIP,
+        DEEP,
+        SKIP,
+    ),
+    (parse_com, "WHILE x < 1 DO " * DEEP + "SKIP" + " OD" * DEEP, While, "body", lambda n: n.guard == X_LT_1, DEEP, SKIP),
+    (parse_com, "(" * DEEP + "SKIP" + ") ; SKIP" * DEEP, Seq, "first", lambda n: n.second == SKIP, DEEP, SKIP),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,text,cls,attr,check,depth,bottom",
+    DEEP_INPUTS,
+    ids=["aexp-parens", "plus-parens", "bexp-parens", "operand-parens", "not", "and", "if", "while", "seq-parens"],
+)
+def test_deep_nesting_parses_without_recursion(parse, text, cls, attr, check, depth, bottom):
+    assert sys.getrecursionlimit() < DEEP
+    assert _unwind(parse(text), cls, attr, check) == (depth, bottom)
+
+
+def test_deep_nesting_reports_an_error_at_the_bottom():
+    # The missing expression sits under 10,000 open WHILEs, one per line.
+    text = "WHILE x < 1 DO\n" * DEEP + "x :=\n" + "OD\n" * DEEP
+    with pytest.raises(ParseError) as exc:
+        parse_com(text)
+    assert (exc.value.position, exc.value.message, exc.value.expected) == (
+        (DEEP + 2, 1),
+        "expected arithmetic expression",
+        list(ARITH),
+    )
 
 
 def test_long_straight_line_program_parses_and_prints():
