@@ -245,7 +245,8 @@ def aval(a: Aexp, s: Store | dict[str, int]) -> int:
     """Value of an arithmetic expression in store `s`. Total.
 
     `s` may also be a plain dict of bindings, which is what the clocked
-    evaluators pass while they run.
+    evaluators and the refocusing oracle (`smallstep.run_oracle_stats`)
+    pass while they run.
     """
     cls = type(a)
     if cls is N:
@@ -333,14 +334,19 @@ def pretty_bexp(b: Bexp) -> str:
 
 
 def _bexp_conj(b: Bexp) -> str:
+    # Iterate down the '!' spine, so a '!' chain of any length needs no recursion.
+    nots = 0
+    while type(b) is Not:
+        nots += 1
+        b = b.arg
     cls = type(b)
     if cls is Bc:
-        return "true" if b.value else "false"
-    if cls is Not:
-        return f"! {_bexp_conj(b.arg)}"
-    if cls is Less:
-        return f"{pretty_aexp(b.left)} < {pretty_aexp(b.right)}"
-    return f"({pretty_bexp(b)})"
+        text = "true" if b.value else "false"
+    elif cls is Less:
+        text = f"{pretty_aexp(b.left)} < {pretty_aexp(b.right)}"
+    else:
+        text = f"({pretty_bexp(b)})"
+    return "! " * nots + text
 
 
 def seq_brackets(first: Com) -> tuple[str, str]:

@@ -20,7 +20,13 @@ it) refocuses instead (Danvy & Nielsen, "Refocusing in reduction
 semantics", 2004): it keeps the pending right siblings of that spine as
 an explicit context across steps and decomposes only each new
 contractum, so it takes the same steps, in the same order, in time
-linear in their number.
+linear in their number.  It takes each While unfold together with the
+step of the If that the unfold makes, and builds neither that If nor
+its Seq: a true guard pushes the loop and focuses its body, which is
+what decomposing ``Seq c (While b c)`` does, and a false guard focuses
+Skip.  Both steps are counted, and the cap can fall between them.  It
+reads variables from the store's bindings dict, as the clocked
+evaluators do; ``Store.set`` stays its only write.
 """
 
 from __future__ import annotations
@@ -163,7 +169,9 @@ def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
     """Like run_oracle, also counting uses of the While unfold rule.
 
     Refocuses (see the module docstring): `ctx` is the evaluation
-    context, the right siblings pending on the left Seq spine.
+    context, the right siblings pending on the left Seq spine.  A While
+    unfold and the step of its If are taken at once, without building
+    either node, and `aval`/`bval` read the store's bindings dict.
     """
     _check_cap(cap)
     ctx: list[Com] = []  # pending right siblings, innermost last
@@ -183,12 +191,21 @@ def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
         if cls is Skip:  # Seq Skip c2 -> c2
             c = pop()
         elif cls is Set:
-            s = s.set(c.var, aval(c.expr, s))
+            s = s.set(c.var, aval(c.expr, s._m))
             c = _SKIP
         elif cls is If:
-            c = c.then_branch if bval(c.guard, s) else c.else_branch
+            c = c.then_branch if bval(c.guard, s._m) else c.else_branch
         elif cls is While:
-            c = If(c.guard, Seq(c.body, c), _SKIP)
+            # The unfold to If(g, Seq(body, W), SKIP) and that If's step,
+            # without building either node.
             while_steps += 1
+            if n == cap:
+                return StepLimit(cap), while_steps
+            n += 1
+            if bval(c.guard, s._m):
+                push(c)  # decomposing Seq(body, W)
+                c = c.body
+            else:
+                c = _SKIP
         else:
             raise TypeError(f"not a command: {c!r}")

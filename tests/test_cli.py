@@ -423,6 +423,16 @@ def test_long_plus_chain_parses_and_prints(tmp_path):
     assert json.loads(p.stdout) == {"pretty": text}
 
 
+def test_long_not_chain_parses_and_prints(tmp_path):
+    text = "IF " + "! " * 10_000 + "x < 1 THEN SKIP ELSE SKIP FI"
+    assert pretty(parse_com(text)) == text
+    path = tmp_path / "not.imp"
+    path.write_text(text + "\n", encoding="utf-8")
+    p = run_cli("parse", str(path))
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == {"pretty": text}
+
+
 def test_parse_command():
     p = run_cli("parse", LOOP)
     assert p.returncode == 0

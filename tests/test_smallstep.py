@@ -1,5 +1,6 @@
 """Small-step oracle unit tests."""
 
+import sys
 import time
 from functools import cache, reduce
 
@@ -246,6 +247,56 @@ def test_run_oracle_stats_makes_the_calls_of_iterating_step(monkeypatch):
         total += len(calls)
         calls.clear()
     assert total > 10_000
+
+
+CAP_BOUNDARY_PROGRAMS = [
+    "x := 0 ; WHILE x < 2 DO x := x + 1 OD",
+    "WHILE false DO SKIP OD",
+    "WHILE x < 2 DO y := 0 ; WHILE y < 2 DO y := y + 1 OD ; x := x + 1 OD",
+    "WHILE x < 2 DO x := x + 1 OD ; y := x",
+    "(WHILE x < 2 DO x := x + 1 OD ; SKIP) ; y := x",
+    "IF x < 1 THEN WHILE x < 2 DO x := x + 1 OD ELSE SKIP FI ; y := 1",
+    "WHILE true DO SKIP OD",
+]
+
+
+@pytest.mark.parametrize("text", CAP_BOUNDARY_PROGRAMS)
+def test_run_oracle_stats_equals_iterating_step_at_every_cap(text):
+    # Every cap up to one past the last step, so a StepLimit falls between
+    # each unfold and the step on its guard.
+    c = parse_com(text)
+    outcome, _ = _reference(c, S0, REF_CAP)
+    steps = outcome.steps if type(outcome) is Terminated else 60  # WHILE true DO SKIP OD
+    for cap in range(1, steps + 2):
+        assert run_oracle_stats(c, S0, cap) == _reference(c, S0, cap), cap
+
+
+def _node_inits(run) -> int:
+    """The calls of `If.__init__` and `Seq.__init__` made while `run()` runs."""
+    inits = {If.__init__.__code__, Seq.__init__.__code__}
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in inits:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_run_oracle_stats_unfolds_while_without_building_nodes():
+    c = parse_com("x := 0 ; WHILE x < 1000 DO x := x + 1 OD")
+    results = []
+    assert _node_inits(lambda: results.append(run_oracle_stats(c, S0, 10_000))) == 0
+    assert results == [(Terminated(Store({"x": 1000}), 4004), 1001)]
+    # The counter sees the nodes the reference builds on the same program.
+    assert _node_inits(lambda: sum(1 for _ in iter_trace(c, S0, 10_000))) > 0
 
 
 def test_left_nested_program_runs_in_linear_time():
