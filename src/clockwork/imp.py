@@ -171,11 +171,6 @@ class Store:
         its zero bindings."""
         if 0 in m.values():
             m = {k: v for k, v in m.items() if v}
-        return cls._adopt(m)
-
-    @classmethod
-    def _adopt(cls, m: dict[str, int]) -> "Store":
-        """`_wrap` for a dict known to hold no zero: no scan."""
         obj = object.__new__(cls)
         obj._m = m
         return obj
@@ -189,16 +184,19 @@ class Store:
         Takes the names and values the constructor takes.  A bound name was
         checked on its way in, so only an unbound one is checked here.
         """
-        if not _is_int(value):
+        if type(value) is not int and not _is_int(value):
             raise ValueError(f"store value for {name!r} must be an int")
-        if name not in self._m:
+        m = self._m
+        if name not in m:
             _check_name(name)
-        m = dict(self._m)
+        m = m.copy()
         if value:
             m[name] = value
         else:
             m.pop(name, None)
-        return Store._adopt(m)
+        new = object.__new__(Store)
+        new._m = m
+        return new
 
     def to_dict(self) -> dict[str, int]:
         """Nonzero bindings as a plain dict (sorted by name)."""
@@ -246,29 +244,78 @@ def aval(a: Aexp, s: Store | dict[str, int]) -> int:
 
     `s` may also be a plain dict of bindings, which is what the clocked
     evaluators and the refocusing oracle (`smallstep.run_oracle_stats`)
-    pass while they run.
+    pass while they run.  '+' associates to the left, so a sum walks its
+    left spine in a loop and reads each N or V operand in place; only an
+    operand that is itself a sum, such as a parenthesised one, recurses.
+    A parsed '+' chain of any length therefore needs no recursion.
     """
     cls = type(a)
     if cls is N:
         return a.value
     if cls is V:
         return s.get(a.name, 0)
-    if cls is Plus:
-        return aval(a.left, s) + aval(a.right, s)
-    raise TypeError(f"not an arithmetic expression: {a!r}")
+    if cls is not Plus:
+        raise TypeError(f"not an arithmetic expression: {a!r}")
+    total = 0
+    while cls is Plus:
+        r = a.right
+        cls = type(r)
+        if cls is N:
+            total += r.value
+        elif cls is V:
+            total += s.get(r.name, 0)
+        else:
+            total += aval(r, s)
+        a = a.left
+        cls = type(a)
+    if cls is N:
+        return a.value + total
+    if cls is V:
+        return s.get(a.name, 0) + total
+    return aval(a, s) + total
 
 
 def bval(b: Bexp, s: Store | dict[str, int]) -> bool:
-    """Value of a boolean expression in store `s` (see `aval`). Total."""
+    """Value of a boolean expression in store `s` (see `aval`). Total.
+
+    `<`, the commonest guard, is tested first and reads N and V operands
+    in place.  A '!' spine is walked in a loop that keeps its parity, and
+    the right spine of '&&' in a loop that still short-circuits from left
+    to right, so chains of either of any length need no recursion.
+    """
     cls = type(b)
+    if cls is Less:
+        left = b.left
+        cls = type(left)
+        if cls is V:
+            x = s.get(left.name, 0)
+        elif cls is N:
+            x = left.value
+        else:
+            x = aval(left, s)
+        right = b.right
+        cls = type(right)
+        if cls is N:
+            return x < right.value
+        if cls is V:
+            return x < s.get(right.name, 0)
+        return x < aval(right, s)
     if cls is Bc:
         return b.value
     if cls is Not:
-        return not bval(b.arg, s)
+        negate = False
+        while cls is Not:
+            negate = not negate
+            b = b.arg
+            cls = type(b)
+        return bval(b, s) is not negate
     if cls is And:
-        return bval(b.left, s) and bval(b.right, s)
-    if cls is Less:
-        return aval(b.left, s) < aval(b.right, s)
+        while cls is And:
+            if not bval(b.left, s):
+                return False
+            b = b.right
+            cls = type(b)
+        return bval(b, s)
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
@@ -327,10 +374,14 @@ def _aexp_term(a: Aexp) -> str:
 
 
 def pretty_bexp(b: Bexp) -> str:
-    if type(b) is And:
-        # '&&' associates to the right.
-        return f"{_bexp_conj(b.left)} && {pretty_bexp(b.right)}"
-    return _bexp_conj(b)
+    # '&&' associates to the right: iterate down the right spine, so a long
+    # '&&' chain needs no recursion.
+    conjuncts = []
+    while type(b) is And:
+        conjuncts.append(_bexp_conj(b.left))
+        b = b.right
+    conjuncts.append(_bexp_conj(b))
+    return " && ".join(conjuncts)
 
 
 def _bexp_conj(b: Bexp) -> str:

@@ -433,6 +433,38 @@ def test_long_not_chain_parses_and_prints(tmp_path):
     assert json.loads(p.stdout) == {"pretty": text}
 
 
+def test_long_and_chain_parses_and_prints(tmp_path):
+    text = "IF " + " && ".join(["x < 1"] * 10_000) + " THEN SKIP ELSE SKIP FI"
+    assert pretty(parse_com(text)) == text
+    path = tmp_path / "and.imp"
+    path.write_text(text + "\n", encoding="utf-8")
+    p = run_cli("parse", str(path))
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == {"pretty": text}
+
+
+# Long chains that `aval` and `bval` walk in a loop, with the final store
+# each semantics and the oracle must reach.
+LONG_CHAINS = {
+    "plus": ("x := " + " + ".join(["1"] * 10_000), {"x": 10_000}),
+    "even_nots": ("WHILE " + "! " * 10_000 + "x < 3 DO x := x + 1 OD", {"x": 3}),
+    "odd_nots": ("WHILE " + "! " * 10_001 + "x < 3 DO x := x + 1 OD ; y := 1", {"y": 1}),
+    "ands": ("WHILE " + "0 < 1 && " * 9_999 + "x < 3 DO x := x + 1 OD", {"x": 3}),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(LONG_CHAINS))
+def test_run_long_chains_under_all_semantics_with_the_oracle(tmp_path, capsys, chain):
+    text, final = LONG_CHAINS[chain]
+    path = tmp_path / f"{chain}.imp"
+    path.write_text(text + "\n", encoding="utf-8")
+    for sem in cli._SEM_CHOICES:
+        assert cli.main(["run", str(path), "--sem", sem, "--fuel", "100", "--oracle"]) == 0, sem
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["store"] == final, sem
+        assert doc["oracle_steps"] > 0, sem
+
+
 def test_parse_command():
     p = run_cli("parse", LOOP)
     assert p.returncode == 0

@@ -1,5 +1,6 @@
 """Syntax, store, and expression-semantics unit tests."""
 
+import enum
 import itertools
 import re
 
@@ -163,13 +164,40 @@ def test_store_validates_names_and_values():
         Store({"x": True})
 
 
-@pytest.mark.parametrize("name, value", [("IF", 1), ("1x", 2), ("_x", 3), ("x", True), ("x", 1.5)])
+@pytest.mark.parametrize(
+    "name, value",
+    [("IF", 1), ("1x", 2), ("_x", 3), ("", 1), ("é", 0), ("x", True), ("x", False), ("x", 1.5), ("x", "1")],
+)
 def test_store_set_rejects_what_the_constructor_rejects(name, value):
     with pytest.raises(ValueError):
         Store({name: value})
     for receiver in (Store(), Store({"x": 4, "y": 1})):
         with pytest.raises(ValueError):
             receiver.set(name, value)
+
+
+class _Count(int):
+    pass
+
+
+class _Colour(enum.IntEnum):
+    NONE = 0
+    RED = 1
+
+
+@pytest.mark.parametrize("value", [_Count(3), _Count(-2), _Colour.RED])
+def test_store_set_accepts_an_int_subclass_as_the_constructor_does(value):
+    # `set` takes a plain int on a fast path; a subclass takes the general rule.
+    for receiver in (Store(), Store({"x": 4}), Store({"y": 1})):
+        assert receiver.set("x", value) == Store(dict(receiver.to_dict(), x=value))
+
+
+@pytest.mark.parametrize("zero", [0, _Count(0), _Colour.NONE])
+def test_store_set_never_stores_a_zero(zero):
+    for receiver in (Store(), Store({"x": 4}), Store({"x": 4, "y": -1})):
+        s = receiver.set("x", zero)
+        assert 0 not in s.to_dict().values()
+        assert s == Store(dict(receiver.to_dict(), x=zero))
 
 
 def test_store_set_updates_a_bound_name():
