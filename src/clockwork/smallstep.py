@@ -27,6 +27,11 @@ what decomposing ``Seq c (While b c)`` does, and a false guard focuses
 Skip.  Both steps are counted, and the cap can fall between them.  It
 reads variables from the store's bindings dict, as the clocked
 evaluators do; ``Store.set`` stays its only write.
+
+``trace_stores`` walks the same steps the same way and collects the
+stores of the configurations ``iter_trace`` would yield: the initial
+store and the store after each Set step, the only step that changes it.
+It builds no configuration.
 """
 
 from __future__ import annotations
@@ -204,6 +209,47 @@ def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
             n += 1
             if bval(c.guard, s._m):
                 push(c)  # decomposing Seq(body, W)
+                c = c.body
+            else:
+                c = _SKIP
+        else:
+            raise TypeError(f"not a command: {c!r}")
+
+
+def trace_stores(c: Com, s: Store, cap: int) -> set[Store]:
+    """The set of stores of the configurations `iter_trace(c, s, cap)` yields.
+
+    Walks them as `run_oracle_stats` does (see the module docstring) and
+    adds a store only at a Set step.
+    """
+    _check_cap(cap)
+    stores = {s}
+    ctx: list[Com] = []  # pending right siblings, innermost last
+    push, pop = ctx.append, ctx.pop
+    n = 0
+    while True:
+        cls = type(c)
+        while cls is Seq:
+            push(c.second)
+            c = c.first
+            cls = type(c)
+        if n >= cap or (cls is Skip and not ctx):
+            return stores
+        n += 1
+        if cls is Skip:
+            c = pop()
+        elif cls is Set:
+            s = s.set(c.var, aval(c.expr, s._m))
+            stores.add(s)
+            c = _SKIP
+        elif cls is If:
+            c = c.then_branch if bval(c.guard, s._m) else c.else_branch
+        elif cls is While:
+            # The unfold and its If's step.  Neither changes the store, so
+            # a cap that falls between them needs no test here.
+            n += 1
+            if bval(c.guard, s._m):
+                push(c)
                 c = c.body
             else:
                 c = _SKIP

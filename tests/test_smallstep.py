@@ -18,8 +18,9 @@ from clockwork.smallstep import (
     run_oracle,
     run_oracle_stats,
     step,
+    trace_stores,
 )
-from clockwork.testkit import GenConfig, gen_com, gen_store
+from clockwork.testkit import GenConfig, _gen_case, case_stream, gen_com, gen_store
 
 S0 = Store()
 WORKED = parse_com("x := 0 ; WHILE x < 3 DO x := x + 1 OD")
@@ -158,8 +159,8 @@ def test_cap_validation():
 @pytest.mark.parametrize("cap", [0, -1, True, False, 2.5, 1.0, "3", None])
 @pytest.mark.parametrize(
     "run",
-    [run_oracle, run_oracle_stats, lambda c, s, cap: list(iter_trace(c, s, cap))],
-    ids=["run_oracle", "run_oracle_stats", "iter_trace"],
+    [run_oracle, run_oracle_stats, lambda c, s, cap: list(iter_trace(c, s, cap)), trace_stores],
+    ids=["run_oracle", "run_oracle_stats", "iter_trace", "trace_stores"],
 )
 def test_cap_must_be_a_positive_int(run, cap):
     with pytest.raises(ValueError, match="step cap must be a positive integer"):
@@ -269,6 +270,24 @@ def test_run_oracle_stats_equals_iterating_step_at_every_cap(text):
     steps = outcome.steps if type(outcome) is Terminated else 60  # WHILE true DO SKIP OD
     for cap in range(1, steps + 2):
         assert run_oracle_stats(c, S0, cap) == _reference(c, S0, cap), cap
+
+
+def test_trace_stores_equals_the_stores_of_iter_trace():
+    # The P5 campaign's programs and stores, at the campaign's cap and below.
+    for k in range(2000):
+        inp, _ = _gen_case("P5", case_stream(7, k))
+        c, s = Seq(inp["first"], inp["second"]), inp["store"]
+        for cap in (1, 2, 3, 50, 4096):
+            assert trace_stores(c, s, cap) == {cfg.store for cfg in iter_trace(c, s, cap)}, (pretty(c), s, cap)
+
+
+@pytest.mark.parametrize("text", CAP_BOUNDARY_PROGRAMS)
+def test_trace_stores_equals_the_stores_of_iter_trace_at_every_cap(text):
+    c = parse_com(text)
+    outcome, _ = _reference(c, S0, REF_CAP)
+    steps = outcome.steps if type(outcome) is Terminated else 60  # WHILE true DO SKIP OD
+    for cap in range(1, steps + 2):
+        assert trace_stores(c, S0, cap) == {cfg.store for cfg in iter_trace(c, S0, cap)}, cap
 
 
 def _node_inits(run) -> int:

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import re
+import sys
 from typing import Union, get_args
 
 import pytest
 
+import reference_splitmix64
 from clockwork.clocked_env import ev
 from clockwork.imp import (
     Aexp,
@@ -73,6 +75,51 @@ def test_splitmix64_draw_helpers():
     assert not SplitMix64(5).chance(0.0)
     with pytest.raises(ValueError):
         rng.below(0)
+
+
+# (helper, arguments) cycled through by the block-stream test; each helper
+# must read exactly one output, or the two streams fall out of step.
+_DRAW_SCRIPT = [
+    ("next_u64", ()),
+    ("below", (7,)),
+    ("randint", (-4, 4)),
+    ("chance", (0.5,)),
+    ("choice", (("x", "y", "z"),)),
+    ("below", (1,)),
+    ("randint", (0, 64)),
+    ("below", (1 << 70,)),
+    ("chance", (0.25,)),
+    ("choice", ([10, 20],)),
+    ("next_u64", ()),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 2**70 + 5])
+def test_block_stream_equals_the_scalar_reference(seed):
+    # 300 draws cross 18 refills of the 16-output blocks
+    rng, ref = SplitMix64(seed), reference_splitmix64.SplitMix64(seed)
+    assert rng.state == ref.state
+    for i in range(300):
+        name, args = _DRAW_SCRIPT[i % len(_DRAW_SCRIPT)]
+        assert getattr(rng, name)(*args) == getattr(ref, name)(*args), (i, name, args)
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda rng: rng.below(0), "below() needs a positive bound"),
+        (lambda rng: rng.randint(3, 1), "randint(3, 1) needs lo <= hi"),
+        (lambda rng: rng.choice([]), "choice([]) needs a non-empty sequence"),
+        (lambda rng: rng.choice(()), "choice(()) needs a non-empty sequence"),
+    ],
+    ids=["below", "randint", "choice-list", "choice-tuple"],
+)
+def test_draw_helpers_name_themselves_in_errors(draw, message):
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        draw(rng)
+    # A refused draw takes no output.
+    assert rng.next_u64() == SplitMix64(1).next_u64()
 
 
 def test_case_streams_are_independent_and_reproducible():
@@ -150,6 +197,41 @@ def test_generated_distribution_pinned():
     assert n_while == 538
     assert n_if == 293
     assert n_while >= 1 and n_if >= 1
+
+
+def _leaf_inits(run) -> int:
+    """The calls of `N.__init__` and `V.__init__` made while `run()` runs.
+
+    Code objects are matched by identity: Bc's generated `__init__`
+    compares equal to N's.
+    """
+    inits = {id(N.__init__.__code__), id(V.__init__.__code__)}
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and id(frame.f_code) in inits:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_generated_leaves_are_shared():
+    # Every generated N and V leaf comes from the shared tables.
+    def draw_all():
+        for pid in PROPERTY_IDS:
+            for k in range(200):
+                _gen_case(pid, case_stream(42, k))
+
+    assert _leaf_inits(draw_all) == 0
+    # The counter sees the leaves that the parser builds.
+    assert _leaf_inits(lambda: parse_com("x := y + 1")) == 2
 
 
 # sha256 of the JSON list of rendered inputs of cases 0..99 at seed 42; pins
