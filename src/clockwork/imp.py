@@ -3,13 +3,16 @@
 The language has three syntactic categories: arithmetic expressions
 (integer literals, variables, addition), boolean expressions (constants,
 negation, conjunction, less-than), and commands (SKIP, assignment,
-sequencing, conditional, while-loop).  All nodes are immutable; stores
-are total maps from variable names to integers with a default of 0.
+sequencing, conditional, while-loop).  All nodes are immutable slotted
+values on one base, ``_Frozen``, which the result and report records of
+``smallstep`` and ``testkit`` share, and a tree of any depth compares,
+hashes, prints with ``repr`` and pretty-prints as a command without
+recursion.  Stores are total maps from variable names to integers with
+a default of 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 
@@ -31,34 +34,120 @@ def _is_int(value: object) -> bool:
 
 
 # --------------------------------------------------------------------------
+# Immutable values
+
+_set = object.__setattr__  # how an __init__ fills a slot past the raising __setattr__
+
+
+class _Frozen:
+    """Base of the syntax nodes and of the result and report records.
+
+    A subclass lists its fields, in constructor order, as
+    ``__slots__ = __match_args__`` and fills them in its own ``__init__``.
+    Instances cannot be changed.  ``==`` is structural and type-sensitive,
+    ``hash`` agrees with it, and ``repr`` reads like a call of the
+    constructor with keyword arguments.  All three walk nested values of
+    this base with an explicit stack, so a tree of any depth compares,
+    hashes and prints without recursion.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if x is y:
+                    continue
+                if type(x) is type(y) and isinstance(x, _Frozen):
+                    todo.append((x, y))
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        # Each value's class, then its fields in order, with nested values
+        # spelled out in place: equal values give equal sequences.
+        flat = []
+        todo = [self]
+        while todo:
+            x = todo.pop()
+            flat.append(type(x))
+            names = x.__match_args__
+            for i in range(len(names) - 1, -1, -1):
+                v = getattr(x, names[i])
+                if isinstance(v, _Frozen):
+                    todo.append(v)
+                else:
+                    flat.append(v)
+        return hash(tuple(flat))
+
+    def __repr__(self) -> str:
+        parts = []
+        todo: list[object] = [self]  # values still to print, and text (str)
+        while todo:
+            x = todo.pop()
+            if type(x) is str:
+                parts.append(x)
+                continue
+            parts.append(f"{type(x).__qualname__}(")
+            todo.append(")")
+            names = x.__match_args__
+            for i in range(len(names) - 1, -1, -1):
+                v = getattr(x, names[i])
+                todo.append(v if isinstance(v, _Frozen) else repr(v))
+                todo.append(f", {names[i]}=" if i else f"{names[i]}=")
+        return "".join(parts)
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+# --------------------------------------------------------------------------
 # Arithmetic expressions
 
 
-@dataclass(frozen=True, slots=True)
-class N:
+class N(_Frozen):
     """Integer literal."""
 
-    value: int
+    __match_args__ = ("value",)
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.value):
-            raise ValueError(f"integer literal must be an int: {self.value!r}")
+    def __init__(self, value: int) -> None:
+        if not _is_int(value):
+            raise ValueError(f"integer literal must be an int: {value!r}")
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class V:
+class V(_Frozen):
     """Variable reference."""
 
-    name: str
+    __match_args__ = ("name",)
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        _check_name(self.name)
+    def __init__(self, name: str) -> None:
+        _check_name(name)
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Plus:
-    left: "Aexp"
-    right: "Aexp"
+class Plus(_Frozen):
+    __match_args__ = ("left", "right")
+    __slots__ = __match_args__
+
+    def __init__(self, left: Aexp, right: Aexp) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Aexp = Union[N, V, Plus]
@@ -68,32 +157,42 @@ Aexp = Union[N, V, Plus]
 # Boolean expressions
 
 
-@dataclass(frozen=True, slots=True)
-class Bc:
+class Bc(_Frozen):
     """Boolean constant."""
 
-    value: bool
+    __match_args__ = ("value",)
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bool):
-            raise ValueError(f"boolean constant must be a bool: {self.value!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class Not:
-    arg: "Bexp"
+    def __init__(self, value: bool) -> None:
+        if not isinstance(value, bool):
+            raise ValueError(f"boolean constant must be a bool: {value!r}")
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Bexp"
-    right: "Bexp"
+class Not(_Frozen):
+    __match_args__ = ("arg",)
+    __slots__ = __match_args__
+
+    def __init__(self, arg: Bexp) -> None:
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True, slots=True)
-class Less:
-    left: Aexp
-    right: Aexp
+class And(_Frozen):
+    __match_args__ = ("left", "right")
+    __slots__ = __match_args__
+
+    def __init__(self, left: Bexp, right: Bexp) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class Less(_Frozen):
+    __match_args__ = ("left", "right")
+    __slots__ = __match_args__
+
+    def __init__(self, left: Aexp, right: Aexp) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Bexp = Union[Bc, Not, And, Less]
@@ -103,39 +202,49 @@ Bexp = Union[Bc, Not, And, Less]
 # Commands
 
 
-@dataclass(frozen=True, slots=True)
-class Skip:
-    pass
+class Skip(_Frozen):
+    __match_args__ = ()
+    __slots__ = __match_args__
 
 
-@dataclass(frozen=True, slots=True)
-class Set:
+class Set(_Frozen):
     """Assignment `var := expr`."""
 
-    var: str
-    expr: Aexp
+    __match_args__ = ("var", "expr")
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        _check_name(self.var)
-
-
-@dataclass(frozen=True, slots=True)
-class Seq:
-    first: "Com"
-    second: "Com"
+    def __init__(self, var: str, expr: Aexp) -> None:
+        _check_name(var)
+        _set(self, "var", var)
+        _set(self, "expr", expr)
 
 
-@dataclass(frozen=True, slots=True)
-class If:
-    guard: Bexp
-    then_branch: "Com"
-    else_branch: "Com"
+class Seq(_Frozen):
+    __match_args__ = ("first", "second")
+    __slots__ = __match_args__
+
+    def __init__(self, first: Com, second: Com) -> None:
+        _set(self, "first", first)
+        _set(self, "second", second)
 
 
-@dataclass(frozen=True, slots=True)
-class While:
-    guard: Bexp
-    body: "Com"
+class If(_Frozen):
+    __match_args__ = ("guard", "then_branch", "else_branch")
+    __slots__ = __match_args__
+
+    def __init__(self, guard: Bexp, then_branch: Com, else_branch: Com) -> None:
+        _set(self, "guard", guard)
+        _set(self, "then_branch", then_branch)
+        _set(self, "else_branch", else_branch)
+
+
+class While(_Frozen):
+    __match_args__ = ("guard", "body")
+    __slots__ = __match_args__
+
+    def __init__(self, guard: Bexp, body: Com) -> None:
+        _set(self, "guard", guard)
+        _set(self, "body", body)
 
 
 Com = Union[Skip, Set, Seq, If, While]
@@ -409,26 +518,46 @@ def seq_brackets(first: Com) -> tuple[str, str]:
 
 
 def pretty(c: Com) -> str:
-    """Concrete syntax for a command; `parse_com(pretty(c)) == c`."""
-    cls = type(c)
-    if cls is Skip:
-        return "SKIP"
-    if cls is Set:
-        return f"{c.var} := {pretty_aexp(c.expr)}"
-    if cls is Seq:
-        # Iterate down the right spine, so a long ';' chain needs no recursion.
-        parts = []
-        while type(c) is Seq:
-            opening, closing = seq_brackets(c.first)
-            parts.append(f"{opening}{pretty(c.first)}{closing}")
-            c = c.second
-        parts.append(pretty(c))
-        return " ; ".join(parts)
-    if cls is If:
-        return (
-            f"IF {pretty_bexp(c.guard)} THEN {pretty(c.then_branch)}"
-            f" ELSE {pretty(c.else_branch)} FI"
-        )
-    if cls is While:
-        return f"WHILE {pretty_bexp(c.guard)} DO {pretty(c.body)} OD"
-    raise TypeError(f"not a command: {c!r}")
+    """Concrete syntax for a command; `parse_com(pretty(c)) == c`.
+
+    The commands still to print wait on an explicit stack, so nested IF
+    and WHILE and ';' nested either way print at any depth.
+    """
+    parts = []
+    todo = []  # per pending command: the text before it, and the command (None: text only)
+    while True:
+        cls = type(c)
+        if cls is Seq:
+            first = c.first
+            # ';' associates to the right, so a Seq on the left needs parens.
+            if type(first) is Seq:
+                parts.append("(")
+                todo.append((") ; ", c.second))
+            else:
+                todo.append((" ; ", c.second))
+            c = first
+            continue
+        if cls is If:
+            parts.append(f"IF {pretty_bexp(c.guard)} THEN ")
+            todo.append((" FI", None))
+            todo.append((" ELSE ", c.else_branch))
+            c = c.then_branch
+            continue
+        if cls is While:
+            parts.append(f"WHILE {pretty_bexp(c.guard)} DO ")
+            todo.append((" OD", None))
+            c = c.body
+            continue
+        if cls is Set:
+            parts.append(f"{c.var} := {pretty_aexp(c.expr)}")
+        elif cls is Skip:
+            parts.append("SKIP")
+        else:
+            raise TypeError(f"not a command: {c!r}")
+        while todo:
+            text, c = todo.pop()
+            parts.append(text)
+            if c is not None:
+                break
+        else:
+            return "".join(parts)

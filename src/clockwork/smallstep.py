@@ -36,20 +36,22 @@ It builds no configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .imp import Com, If, Seq, Set, Skip, Store, While, _check_int, aval, bval, pretty, seq_brackets
+from .imp import Com, If, Seq, Set, Skip, Store, While, _check_int, _Frozen, _set, aval, bval, pretty, seq_brackets
 
 _SKIP = Skip()
 
 
-@dataclass(frozen=True, slots=True)
-class Config:
+class Config(_Frozen):
     """One small-step machine state."""
 
-    com: Com
-    store: Store
+    __match_args__ = ("com", "store")
+    __slots__ = __match_args__
+
+    def __init__(self, com: Com, store: Store) -> None:
+        _set(self, "com", com)
+        _set(self, "store", store)
 
     def is_terminal(self) -> bool:
         return type(self.com) is Skip
@@ -97,15 +99,21 @@ class TraceRenderer:
         return "".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
-class Terminated:
-    store: Store
-    steps: int
+class Terminated(_Frozen):
+    __match_args__ = ("store", "steps")
+    __slots__ = __match_args__
+
+    def __init__(self, store: Store, steps: int) -> None:
+        _set(self, "store", store)
+        _set(self, "steps", steps)
 
 
-@dataclass(frozen=True, slots=True)
-class StepLimit:
-    cap: int
+class StepLimit(_Frozen):
+    __match_args__ = ("cap",)
+    __slots__ = __match_args__
+
+    def __init__(self, cap: int) -> None:
+        _set(self, "cap", cap)
 
 
 OracleOutcome = Union[Terminated, StepLimit]

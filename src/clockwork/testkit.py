@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterator, Optional, Union, get_args
 
@@ -64,6 +63,8 @@ from .imp import (
     V,
     While,
     _check_int,
+    _Frozen,
+    _set,
     pretty,
     size,
 )
@@ -188,14 +189,15 @@ def case_stream(seed: int, case_index: int) -> SplitMix64:
 # Generation
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Frozen):
     """The seed of random program generation; the distribution is fixed."""
 
-    seed: int
+    __match_args__ = ("seed",)
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        _check_int(self.seed, "seed")
+    def __init__(self, seed: int) -> None:
+        _check_int(seed, "seed")
+        _set(self, "seed", seed)
 
 
 # The shared leaves: _NUMS[rng.below(9)] is N(rng.randint(_LO, _HI)) and
@@ -334,14 +336,25 @@ def fuel_search(
 # Reports
 
 
-@dataclass
-class Failure:
-    case_index: int
-    seed: int
-    inputs: dict[str, object]
-    expected: str
-    actual: str
-    shrunk: Optional[dict[str, object]] = None
+class Failure(_Frozen):
+    __match_args__ = ("case_index", "seed", "inputs", "expected", "actual", "shrunk")
+    __slots__ = __match_args__
+
+    def __init__(
+        self,
+        case_index: int,
+        seed: int,
+        inputs: dict[str, object],
+        expected: str,
+        actual: str,
+        shrunk: Optional[dict[str, object]] = None,
+    ) -> None:
+        _set(self, "case_index", case_index)
+        _set(self, "seed", seed)
+        _set(self, "inputs", inputs)
+        _set(self, "expected", expected)
+        _set(self, "actual", actual)
+        _set(self, "shrunk", shrunk)
 
     def to_json_dict(self) -> dict[str, object]:
         d: dict[str, object] = {
@@ -356,14 +369,25 @@ class Failure:
         return d
 
 
-@dataclass
-class PropertyReport:
-    property_id: str
-    cases_run: int
-    failures: list[Failure]
-    elapsed_ms: int
-    skipped: int = 0
-    details: dict[str, object] = field(default_factory=dict)
+class PropertyReport(_Frozen):
+    __match_args__ = ("property_id", "cases_run", "failures", "elapsed_ms", "skipped", "details")
+    __slots__ = __match_args__
+
+    def __init__(
+        self,
+        property_id: str,
+        cases_run: int,
+        failures: list[Failure],
+        elapsed_ms: int,
+        skipped: int = 0,
+        details: Optional[dict[str, object]] = None,
+    ) -> None:
+        _set(self, "property_id", property_id)
+        _set(self, "cases_run", cases_run)
+        _set(self, "failures", failures)
+        _set(self, "elapsed_ms", elapsed_ms)
+        _set(self, "skipped", skipped)
+        _set(self, "details", {} if details is None else details)
 
     @property
     def passed(self) -> bool:

@@ -33,6 +33,14 @@ def run_cli(*args, env_extra=None):
     )
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # `@dataclass` and the `inspect` import it pulls in cost about a third
+    # of a fresh CLI start; the value classes are written out instead.
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import clockwork.cli; print('dataclasses' in sys.modules)"
+    p = subprocess.run([sys.executable, "-S", "-c", code, CLI_ENV["PYTHONPATH"]], capture_output=True, text=True)
+    assert (p.returncode, p.stdout, p.stderr) == (0, "False\n", "")
+
+
 def test_run_worked_example_final():
     p = run_cli("run", LOOP, "--sem", "cval", "--fuel", "3")
     assert p.returncode == 0
@@ -326,6 +334,27 @@ def test_resource_exhaustion_is_one_stderr_line_exit_1(monkeypatch, capsys, exc)
     assert out == ""
     assert len(err.splitlines()) == 1
     assert exc.__name__ in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "IF true THEN " * 3_000 + "SKIP" + " ELSE SKIP FI" * 3_000,
+        "WHILE false DO " * 3_000 + "SKIP" + " OD" * 3_000,
+        "(" * 3_000 + "SKIP" + ") ; SKIP" * 3_000,
+    ],
+    ids=["if", "while", "seq-left"],
+)
+def test_parse_and_trace_print_deeply_nested_commands(tmp_path, capsys, text):
+    path = tmp_path / "deep.imp"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert cli.main(["parse", str(path)]) == 0
+    printed = json.loads(capsys.readouterr().out)["pretty"]
+    assert parse_com(printed) == parse_com(text)
+    cli.main(["trace", str(path), "--cap", "3"])
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[0] == f"⟨{printed}, {{}}⟩"
 
 
 def test_trace_skip_program():

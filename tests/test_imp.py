@@ -274,3 +274,34 @@ def test_pretty_structures():
     assert pretty(While(Bc(True), Skip())) == "WHILE true DO SKIP OD"
     assert pretty(Set("x", Plus(Plus(N(1), N(2)), V("x")))) == "x := 1 + 2 + x"
     assert pretty(Set("x", Plus(N(1), Plus(N(2), V("x"))))) == "x := 1 + (2 + x)"
+
+
+DEEP = 10_000  # ten times the default recursion limit
+
+
+def _nest(bottom, wrap, depth=DEEP):
+    for _ in range(depth):
+        bottom = wrap(bottom)
+    return bottom
+
+
+# (10,000-deep command, its text)
+DEEP_COMMANDS = {
+    "if": (
+        _nest(Skip(), lambda t: If(Bc(True), t, Skip())),
+        "IF true THEN " * DEEP + "SKIP" + " ELSE SKIP FI" * DEEP,
+    ),
+    "while": (_nest(Skip(), lambda t: While(Less(V("x"), N(1)), t)), "WHILE x < 1 DO " * DEEP + "SKIP" + " OD" * DEEP),
+    "seq-left": (
+        _nest(Skip(), lambda t: Seq(t, Skip())),
+        "(" * (DEEP - 1) + "SKIP" + " ; SKIP)" * (DEEP - 1) + " ; SKIP",
+    ),
+    "seq-right": (_nest(Skip(), lambda t: Seq(Skip(), t)), "SKIP ; " * DEEP + "SKIP"),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_COMMANDS)
+def test_pretty_prints_deep_commands_without_recursion(shape):
+    com, text = DEEP_COMMANDS[shape]
+    assert pretty(com) == text
+    assert parse_com(text) == com

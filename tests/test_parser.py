@@ -263,51 +263,40 @@ def test_parsing_work_grows_linearly_with_boolean_nesting(shape):
 DEEP = 10_000  # ten times the default recursion limit
 
 
-def _unwind(node, cls, attr, check=lambda node: True):
-    """Follow `attr` down from `node` while the nodes are `cls` and pass `check`.
-
-    Returns how many it passed and the node below them.  A loop, because
-    AST equality, repr and hash recurse.
-    """
-    depth = 0
-    while type(node) is cls and check(node):
-        node, depth = getattr(node, attr), depth + 1
-    return depth, node
+def _nest(bottom, wrap, depth=DEEP):
+    for _ in range(depth):
+        bottom = wrap(bottom)
+    return bottom
 
 
 X_LT_1, SKIP = Less(V("x"), N(1)), Skip()
 
-# (entry point, 10,000-deep input, node class and field of its spine, check
-# of each spine node, spine length, node below the spine)
+# (entry point, 10,000-deep input, the tree it parses to)
 DEEP_INPUTS = [
-    (parse_aexp, "(" * DEEP + "1 + x" + ")" * DEEP, Plus, "left", lambda n: n.right == V("x"), 1, N(1)),
-    (parse_aexp, "(" * DEEP + "x" + " + 1)" * DEEP, Plus, "left", lambda n: n.right == N(1), DEEP, V("x")),
-    (parse_bexp, "(" * DEEP + "x < 1" + ")" * DEEP, Less, "left", lambda n: n.right == N(1), 1, V("x")),
-    (parse_bexp, "(" * DEEP + "x" + ")" * DEEP + " < 1", Less, "left", lambda n: n.right == N(1), 1, V("x")),
-    (parse_bexp, "! " * DEEP + "true", Not, "arg", lambda n: True, DEEP, Bc(True)),
-    (parse_bexp, " && ".join(["x < 1"] * DEEP), And, "right", lambda n: n.left == X_LT_1, DEEP - 1, X_LT_1),
+    (parse_aexp, "(" * DEEP + "1 + x" + ")" * DEEP, Plus(N(1), V("x"))),
+    (parse_aexp, "(" * DEEP + "x" + " + 1)" * DEEP, _nest(V("x"), lambda t: Plus(t, N(1)))),
+    (parse_bexp, "(" * DEEP + "x < 1" + ")" * DEEP, X_LT_1),
+    (parse_bexp, "(" * DEEP + "x" + ")" * DEEP + " < 1", X_LT_1),
+    (parse_bexp, "! " * DEEP + "true", _nest(Bc(True), Not)),
+    (parse_bexp, " && ".join(["x < 1"] * DEEP), _nest(X_LT_1, lambda t: And(X_LT_1, t), DEEP - 1)),
     (
         parse_com,
         "IF true THEN " * DEEP + "SKIP" + " ELSE SKIP FI" * DEEP,
-        If,
-        "then_branch",
-        lambda n: n.guard == Bc(True) and n.else_branch == SKIP,
-        DEEP,
-        SKIP,
+        _nest(SKIP, lambda t: If(Bc(True), t, SKIP)),
     ),
-    (parse_com, "WHILE x < 1 DO " * DEEP + "SKIP" + " OD" * DEEP, While, "body", lambda n: n.guard == X_LT_1, DEEP, SKIP),
-    (parse_com, "(" * DEEP + "SKIP" + ") ; SKIP" * DEEP, Seq, "first", lambda n: n.second == SKIP, DEEP, SKIP),
+    (parse_com, "WHILE x < 1 DO " * DEEP + "SKIP" + " OD" * DEEP, _nest(SKIP, lambda t: While(X_LT_1, t))),
+    (parse_com, "(" * DEEP + "SKIP" + ") ; SKIP" * DEEP, _nest(SKIP, lambda t: Seq(t, SKIP))),
 ]
 
 
 @pytest.mark.parametrize(
-    "parse,text,cls,attr,check,depth,bottom",
+    "parse,text,tree",
     DEEP_INPUTS,
     ids=["aexp-parens", "plus-parens", "bexp-parens", "operand-parens", "not", "and", "if", "while", "seq-parens"],
 )
-def test_deep_nesting_parses_without_recursion(parse, text, cls, attr, check, depth, bottom):
+def test_deep_nesting_parses_without_recursion(parse, text, tree):
     assert sys.getrecursionlimit() < DEEP
-    assert _unwind(parse(text), cls, attr, check) == (depth, bottom)
+    assert parse(text) == tree
 
 
 def test_deep_nesting_reports_an_error_at_the_bottom():
@@ -324,9 +313,14 @@ def test_deep_nesting_reports_an_error_at_the_bottom():
 
 def test_long_straight_line_program_parses_and_prints():
     # 100,000 statements: a right-nested Seq chain far deeper than the
-    # recursion limit.  Compared as text, because AST equality recurses.
+    # recursion limit.
     text = " ; ".join(f"x{i % 7} := {i}" for i in range(100_000))
-    assert pretty(parse_com(text)) == text
+    expected = Set(f"x{99_999 % 7}", N(99_999))
+    for i in reversed(range(99_999)):
+        expected = Seq(Set(f"x{i % 7}", N(i)), expected)
+    tree = parse_com(text)
+    assert tree == expected
+    assert pretty(tree) == text
 
 
 def test_error_is_exception_not_exit():

@@ -9,6 +9,7 @@ round trips.
 import copy
 import hashlib
 import pickle
+import sys
 
 import pytest
 
@@ -103,7 +104,7 @@ def test_equal_values_hash_equal():
     assert len({Plus(N(1), N(2)), Plus(N(1), N(2)), Less(N(1), N(2))}) == 2
 
 
-@pytest.mark.parametrize("value,fields", [e for e in EXAMPLES if type(e[0]) not in (Failure, PropertyReport)], ids=IDS[:-2])
+@pytest.mark.parametrize("value,fields", EXAMPLES, ids=IDS)
 def test_fields_cannot_be_assigned_or_deleted(value, fields):
     for name in fields:
         with pytest.raises(AttributeError):
@@ -117,3 +118,59 @@ def test_fields_cannot_be_assigned_or_deleted(value, fields):
 def test_pickle_and_deepcopy_round_trip(value):
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(copied) is type(value) and copied == value and repr(copied) == repr(value)
+
+
+def test_other_attributes_cannot_be_set_either():
+    for value in VALUES:
+        with pytest.raises(AttributeError):
+            value.other = None
+        with pytest.raises(AttributeError):
+            del value.other
+
+
+# --------------------------------------------------------------------------
+# Trees far deeper than the recursion limit
+
+DEEP = 10_000
+X_LT_1 = Less(V("x"), N(1))
+
+
+def _nest(bottom, wrap, depth=DEEP):
+    for _ in range(depth):
+        bottom = wrap(bottom)
+    return bottom
+
+
+# (tree builder from its bottom node, repr text before and after the bottom's)
+DEEP_SHAPES = {
+    "plus-right": (lambda b: _nest(b, lambda t: Plus(N(1), t)), "Plus(left=N(value=1), right=", ")"),
+    "and-left": (
+        lambda b: _nest(b, lambda t: And(t, X_LT_1)),
+        "And(left=",
+        ", right=Less(left=V(name='x'), right=N(value=1)))",
+    ),
+    "seq-left": (lambda b: _nest(b, lambda t: Seq(t, Skip())), "Seq(first=", ", second=Skip())"),
+    "if": (
+        lambda b: _nest(b, lambda t: If(Bc(True), t, Skip())),
+        "If(guard=Bc(value=True), then_branch=",
+        ", else_branch=Skip())",
+    ),
+    "while": (
+        lambda b: _nest(b, lambda t: While(X_LT_1, t)),
+        "While(guard=Less(left=V(name='x'), right=N(value=1)), body=",
+        ")",
+    ),
+    "seq-right": (lambda b: _nest(b, lambda t: Seq(Skip(), t)), "Seq(first=Skip(), second=", ")"),
+}
+BOTTOMS = {"plus-right": (N(2), N(3)), "and-left": (X_LT_1, Bc(False))}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_deep_trees_compare_hash_and_print_without_recursion(shape):
+    assert sys.getrecursionlimit() < DEEP
+    build, before, after = DEEP_SHAPES[shape]
+    bottom, other = BOTTOMS.get(shape, (Skip(), Set("x", N(1))))
+    tree, copy_, different = build(bottom), build(bottom), build(other)
+    assert tree == copy_ and not tree != copy_ and hash(tree) == hash(copy_)
+    assert tree != different and not tree == different
+    assert repr(tree) == before * DEEP + repr(bottom) + after * DEEP
