@@ -55,10 +55,10 @@ class _Frozen:
     __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
 
     def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -77,8 +77,8 @@ class _Frozen:
         return True
 
     def __hash__(self) -> int:
-        # Each value's class, then its fields in order, with nested values
-        # spelled out in place: equal values give equal sequences.
+        # The class and the plain fields of every nested value, in a fixed
+        # walk order: equal values give equal sequences.
         flat = []
         todo = [self]
         while todo:
