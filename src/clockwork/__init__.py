@@ -1,8 +1,8 @@
 """Clocked big-step interpreters for a While language, with a small-step
 oracle and a differential property-testing harness."""
 
-from .clocked_env import EnvResult, ev, ev_min, ev_min_checked
-from .clocked_state import StateResult, cval, cval_guard, cval_tick, cval_unfolds, fix_clock
+from .clocked_env import EnvResult, ev, ev_min
+from .clocked_state import StateResult, cval, cval_guard, cval_tick, fix_clock
 from .imp import (
     Aexp,
     And,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .imp import Com, Seq, Set, Skip, If, While, Store, _check_fuel, aval, bval, size
+from .imp import Com, Seq, Set, Skip, If, While, Store, _check_fuel, aval, bval
 
 EnvResult = Optional[Store]
 
@@ -180,54 +180,3 @@ def least_fuel(c: Com, s: Store, t: int, every_step: bool) -> Optional[tuple[Sto
             raise TypeError(f"not a command: {c!r}")
     return Store._wrap(m), fuel - low + 1
 
-
-class TerminationMeasureError(AssertionError):
-    """A recursive call failed to shrink the (clock, command size) measure."""
-
-
-def ev_min_checked(c: Com, s: Store, t: int) -> EnvResult:
-    """`ev_min`, additionally checking its termination measure at runtime.
-
-    Every recursive call made by the defining equations must strictly
-    decrease the lexicographic pair (clock, command size): the clock
-    stays put only on calls whose command is a proper subterm.  Violations
-    raise TerminationMeasureError; otherwise the result equals
-    ``ev_min(c, s, t)``.
-    """
-    _check_fuel(t)
-    # Frames carry the measure of the calling clause instance.
-    stack: list[tuple[Com, int, Optional[tuple[int, int]]]] = [(c, t, None)]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        c, t, caller = pop()
-        while True:
-            measure = (t, size(c))
-            if caller is not None and not measure < caller:
-                raise TerminationMeasureError(
-                    f"call measure {measure} does not decrease below {caller}"
-                )
-            caller = measure
-            cls = type(c)
-            if cls is Skip:
-                break
-            if cls is Set:
-                s = s.set(c.var, aval(c.expr, s))
-                break
-            if cls is Seq:
-                push((c.second, t, caller))
-                c = c.first
-                continue
-            if cls is If:
-                c = c.then_branch if bval(c.guard, s) else c.else_branch
-                continue
-            if cls is While:
-                if bval(c.guard, s):
-                    if t == 0:
-                        return None
-                    t -= 1
-                    c = Seq(c.body, c)
-                    continue
-                break
-            raise TypeError(f"not a command: {c!r}")
-    return s

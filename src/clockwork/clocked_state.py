@@ -31,9 +31,6 @@ from .imp import Com, If, Seq, Set, Skip, Store, While, _check_fuel, aval, bval
 
 StateResult = Optional[tuple[Store, int]]
 
-_EVAL = 0
-_SEQK = 1
-
 
 def fix_clock(t: int, r: StateResult) -> StateResult:
     """Clamp the clock in `r` to at most `t`; timeouts pass through."""
@@ -184,48 +181,3 @@ def cval_tick(c: Com, s: Store, t: int) -> StateResult:
         t_in, c = pop()
         m, t = fix_clock(t_in, (m, t))
 
-
-def cval_unfolds(c: Com, s: Store, t: int) -> tuple[StateResult, int]:
-    """`cval` plus a count of guard-true While unfolds performed.
-
-    On success the count equals the consumed clock; on timeout it counts
-    the unfolds completed before the clock ran out.
-    """
-    _check_fuel(t)
-    unfolds = 0
-    stack: list[tuple[int, object, object]] = [(_EVAL, c, None)]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        tag, a, b = pop()
-        if tag == _SEQK:
-            r = fix_clock(a, (s, t))
-            s, t = r
-            c = b
-        else:
-            c = a
-        while True:
-            cls = type(c)
-            if cls is Skip:
-                break
-            if cls is Set:
-                s = s.set(c.var, aval(c.expr, s))
-                break
-            if cls is Seq:
-                push((_SEQK, t, c.second))
-                c = c.first
-                continue
-            if cls is If:
-                c = c.then_branch if bval(c.guard, s) else c.else_branch
-                continue
-            if cls is While:
-                if bval(c.guard, s):
-                    if t == 0:
-                        return (None, unfolds)
-                    t -= 1
-                    unfolds += 1
-                    c = Seq(c.body, c)
-                    continue
-                break
-            raise TypeError(f"not a command: {c!r}")
-    return ((s, t), unfolds)

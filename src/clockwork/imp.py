@@ -6,9 +6,9 @@ negation, conjunction, less-than), and commands (SKIP, assignment,
 sequencing, conditional, while-loop).  All nodes are immutable slotted
 values on one base, ``_Frozen``, which the result and report records of
 ``smallstep`` and ``testkit`` share, and a tree of any depth compares,
-hashes, prints with ``repr`` and pretty-prints as a command without
-recursion.  Stores are total maps from variable names to integers with
-a default of 0.
+hashes, prints with ``repr``, pickles, deep-copies and pretty-prints as
+a command without recursion.  Stores are total maps from variable names
+to integers with a default of 0.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ class _Frozen:
     ``__slots__ = __match_args__`` and fills them in its own ``__init__``.
     Instances cannot be changed.  ``==`` is structural and type-sensitive,
     ``hash`` agrees with it, and ``repr`` reads like a call of the
-    constructor with keyword arguments.  All three walk nested values of
-    this base with an explicit stack, so a tree of any depth compares,
-    hashes and prints without recursion.
+    constructor with keyword arguments.  All three, and the flattening
+    that ``pickle`` and ``copy.deepcopy`` use, walk nested values of this
+    base with an explicit stack, so a tree of any depth compares, hashes,
+    prints and copies without recursion.
     """
 
     __slots__ = ()
@@ -110,8 +111,38 @@ class _Frozen:
                 todo.append(f", {names[i]}=" if i else f"{names[i]}=")
         return "".join(parts)
 
-    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        # One flat post-order list of (class, fields) records, in which
+        # _Frozen stands for a nested value, so that pickle and
+        # copy.deepcopy do not recurse once per level of the tree.
+        records = []
+        todo = [self]
+        while todo:
+            x = todo.pop()
+            fields = []
+            for name in x.__match_args__:
+                v = getattr(x, name)
+                if isinstance(v, _Frozen):
+                    todo.append(v)
+                    v = _Frozen
+                fields.append(v)
+            records.append((type(x), tuple(fields)))
+        records.reverse()
+        return _rebuild, (records,)
+
+
+def _rebuild(records: list[tuple[type, tuple[object, ...]]]) -> _Frozen:
+    """The value that `_Frozen.__reduce__` flattened into `records`.
+
+    Each record's constructor runs, so its checks run; its nested fields
+    are the values most recently built, in field order.
+    """
+    built: list[_Frozen] = []
+    for cls, fields in records:
+        args = [built.pop() if v is _Frozen else v for v in reversed(fields)]
+        args.reverse()
+        built.append(cls(*args))
+    return built[0]
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 import pytest
 
 from clockwork.clocked_env import least_fuel
-from clockwork.clocked_state import cval, cval_guard, cval_tick, cval_unfolds, fix_clock
+from clockwork.clocked_state import cval, cval_guard, cval_tick, fix_clock
 from clockwork.imp import Bc, If, Less, N, Plus, Seq, Set, Skip, Store, V, While, bval
 from clockwork.parser import parse_com
+from clockwork.smallstep import iter_trace
 from clockwork.testkit import SEMANTICS, case_stream
 from clockwork.testkit import _gen_com, _gen_fuel, _gen_store  # test-scale generators
 
@@ -160,23 +161,43 @@ def test_cval_tick_strict_decrease():
             assert r[1] < t
 
 
-# --- instrumented unfold counter ---
+# --- the unfold law, against the small-step trace ---
+
+
+def _redex(c):
+    """The command the next small step contracts: the end of the left Seq spine."""
+    while type(c) is Seq and type(c.first) is not Skip:
+        c = c.first
+    return c
 
 
 def test_consumed_fuel_counts_while_unfolds():
+    # cval ticks only at a While unfold whose guard holds, so at fuel t it
+    # ends with t - u left when the trace unfolds u <= t times, and times
+    # out otherwise.  The trace is the independent small-step relation.
+    finals = timeouts = limited = 0
     for c, s, t in _cases(1000, seed=43, budget=12):
-        r, unfolds = cval_unfolds(c, s, t)
-        assert r == cval(c, s, t)
-        if r is not None:
-            assert t - r[1] == unfolds
+        u = 0
+        for cfg in iter_trace(c, s, 2000):
+            w = _redex(cfg.com)
+            u += type(w) is While and bval(w.guard, cfg.store)
+        if cfg.is_terminal():
+            want = (cfg.store, t - u) if u <= t else None
+            finals += want is not None
+            timeouts += want is None
+        else:
+            assert u > t, (c, s, t)
+            want = None
+            limited += 1
+        assert cval(c, s, t) == want, (c, s, t)
+        assert cval_guard(c, s, t) == want, (c, s, t)
+    assert finals >= 800 and timeouts >= 10 and limited >= 50, (finals, timeouts, limited)
 
 
 def test_fuel_validation():
     for fn in (cval, cval_guard, cval_tick):
         with pytest.raises(ValueError):
             fn(Skip(), S0, -3)
-    with pytest.raises(ValueError):
-        cval_unfolds(Skip(), S0, -1)
 
 
 def test_fix_clock_in_live_path_is_identity():

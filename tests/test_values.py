@@ -3,7 +3,7 @@
 These pin what callers rely on: `repr` text (by digest), structural and
 type-sensitive equality with a matching hash, immutability, field order
 in `__match_args__` (which the shrinker reads), and pickle and deepcopy
-round trips.
+round trips, at any depth.
 """
 
 import copy
@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from clockwork.imp import And, Bc, If, Less, N, Not, Plus, Seq, Set, Skip, Store, V, While
+from clockwork.imp import And, Bc, If, Less, N, Not, Plus, Seq, Set, Skip, Store, V, While, _Frozen
 from clockwork.smallstep import Config, StepLimit, Terminated
 from clockwork.testkit import Failure, GenConfig, PropertyReport, gen_com
 
@@ -174,3 +174,18 @@ def test_deep_trees_compare_hash_and_print_without_recursion(shape):
     assert tree == copy_ and not tree != copy_ and hash(tree) == hash(copy_)
     assert tree != different and not tree == different
     assert repr(tree) == before * DEEP + repr(bottom) + after * DEEP
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_deep_trees_pickle_and_deepcopy_without_recursion(shape):
+    build = DEEP_SHAPES[shape][0]
+    tree = build(BOTTOMS.get(shape, (Skip(),))[0])
+    for copied in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert type(copied) is type(tree) and copied == tree
+
+
+def test_unpickling_runs_the_constructors():
+    rebuild, (records,) = Set("x", N(1)).__reduce__()
+    assert rebuild(records) == Set("x", N(1))
+    with pytest.raises(ValueError):
+        rebuild([(N, (1,)), (Set, ("IF", _Frozen))])  # the name is a keyword
