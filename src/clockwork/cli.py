@@ -94,7 +94,7 @@ def _build_parser() -> _ArgumentParser:
     trace_p.add_argument("--cap", type=_decimal, default=ORACLE_CAP, help="step cap")
 
     check_p = sub.add_parser("check", help="run property campaigns")
-    check_p.add_argument("properties", nargs="*", metavar="PROP", help="property ids (P1..P10, RT)")
+    check_p.add_argument("properties", nargs="*", metavar="PROP", help=f"property ids ({', '.join(PROPERTY_IDS)})")
     check_p.add_argument("--all", action="store_true", help="run every property")
     check_p.add_argument("--seed", type=_decimal, default=None, help="campaign seed (default: $CLOCKWORK_SEED or 42)")
     check_p.add_argument("--cases", type=_decimal, default=1000, help="cases per property")

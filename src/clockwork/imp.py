@@ -13,7 +13,7 @@ to integers with a default of 0.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 
 KEYWORDS = frozenset({"SKIP", "IF", "THEN", "ELSE", "FI", "WHILE", "DO", "OD", "true", "false"})
@@ -46,10 +46,10 @@ class _Frozen:
     ``__slots__ = __match_args__`` and fills them in its own ``__init__``.
     Instances cannot be changed.  ``==`` is structural and type-sensitive,
     ``hash`` agrees with it, and ``repr`` reads like a call of the
-    constructor with keyword arguments.  All three, and the flattening
-    that ``pickle`` and ``copy.deepcopy`` use, walk nested values of this
-    base with an explicit stack, so a tree of any depth compares, hashes,
-    prints and copies without recursion.
+    constructor with keyword arguments.  ``==``, ``repr`` and the one
+    flattening that ``hash``, ``pickle`` and ``copy.deepcopy`` read walk
+    nested values of this base with an explicit stack, so a tree of any
+    depth compares, hashes, prints and copies without recursion.
     """
 
     __slots__ = ()
@@ -78,21 +78,12 @@ class _Frozen:
         return True
 
     def __hash__(self) -> int:
-        # The class and the plain fields of every nested value, in a fixed
-        # walk order: equal values give equal sequences.
-        flat = []
-        todo = [self]
-        while todo:
-            x = todo.pop()
-            flat.append(type(x))
-            names = x.__match_args__
-            for i in range(len(names) - 1, -1, -1):
-                v = getattr(x, names[i])
-                if isinstance(v, _Frozen):
-                    todo.append(v)
-                else:
-                    flat.append(v)
-        return hash(tuple(flat))
+        # From each record's class, plain fields and nested values' hashes:
+        # equal values hash alike however they share subtrees.
+        hashes: list[int] = []
+        for cls, fields, kids in self._records():
+            hashes.append(hash((cls, fields, tuple([hashes[i] for i in kids]))))
+        return hashes[-1]
 
     def __repr__(self) -> str:
         parts = []
@@ -112,37 +103,50 @@ class _Frozen:
         return "".join(parts)
 
     def __reduce__(self) -> tuple[object, tuple[object, ...]]:
-        # One flat post-order list of (class, fields) records, in which
-        # _Frozen stands for a nested value, so that pickle and
-        # copy.deepcopy do not recurse once per level of the tree.
+        # pickle and copy.deepcopy get one record per distinct value.
+        return _rebuild, (self._records(),)
+
+    def _records(self) -> list[tuple[type, tuple[object, ...], tuple[int, ...]]]:
+        """One ``(class, fields, kids)`` record per distinct value, by
+        identity, each after the records of its nested values and ``self``
+        last.  In ``fields`` the class ``_Frozen`` stands for a nested
+        value; ``kids`` holds their record indices, in field order."""
+        index: dict[int, int] = {}  # id of a recorded value -> its record's index
         records = []
         todo = [self]
         while todo:
-            x = todo.pop()
+            x = todo[-1]
+            if id(x) in index:
+                todo.pop()
+                continue
             fields = []
+            kids = []
             for name in x.__match_args__:
                 v = getattr(x, name)
                 if isinstance(v, _Frozen):
-                    todo.append(v)
+                    kids.append(index.get(id(v)))
+                    if kids[-1] is None:
+                        todo.append(v)
                     v = _Frozen
                 fields.append(v)
-            records.append((type(x), tuple(fields)))
-        records.reverse()
-        return _rebuild, (records,)
+            if None not in kids:  # else x comes back after the values just pushed
+                todo.pop()
+                index[id(x)] = len(records)
+                records.append((type(x), tuple(fields), tuple(kids)))
+        return records
 
 
-def _rebuild(records: list[tuple[type, tuple[object, ...]]]) -> _Frozen:
-    """The value that `_Frozen.__reduce__` flattened into `records`.
+def _rebuild(records: list[tuple[type, tuple[object, ...], tuple[int, ...]]]) -> _Frozen:
+    """The value that `_Frozen._records` flattened into `records`.
 
-    Each record's constructor runs, so its checks run; its nested fields
-    are the values most recently built, in field order.
+    Each record is built once, by its constructor, so its checks run and
+    a value shared in the original is shared in the copy.
     """
     built: list[_Frozen] = []
-    for cls, fields in records:
-        args = [built.pop() if v is _Frozen else v for v in reversed(fields)]
-        args.reverse()
-        built.append(cls(*args))
-    return built[0]
+    for cls, fields, kids in records:
+        nested = iter([built[i] for i in kids])
+        built.append(cls(*[next(nested) if v is _Frozen else v for v in fields]))
+    return built[-1]
 
 
 # --------------------------------------------------------------------------
@@ -341,9 +345,6 @@ class Store:
     def to_dict(self) -> dict[str, int]:
         """Nonzero bindings as a plain dict (sorted by name)."""
         return {k: self._m[k] for k in sorted(self._m)}
-
-    def names(self) -> Iterator[str]:
-        return iter(sorted(self._m))
 
     def pretty(self) -> str:
         inner = ", ".join(f"{k}: {self._m[k]}" for k in sorted(self._m))

@@ -735,8 +735,8 @@ def _value_shrinks(v: object) -> Iterator[object]:
                 yield cand
         return
     if isinstance(v, Store):
-        for name in v.names():
-            for nv in _int_shrinks(v.get(name)):
+        for name, value in v.to_dict().items():
+            for nv in _int_shrinks(value):
                 yield v.set(name, nv)
         return
     if isinstance(v, tuple):

@@ -3,6 +3,7 @@ is patched or a test makes a thousand calls)."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from clockwork import cli
 from clockwork.imp import If, Seq, Store, While, pretty
 from clockwork.parser import parse_com
 from clockwork.smallstep import iter_trace
-from clockwork.testkit import GenConfig, gen_com, gen_store
+from clockwork.testkit import PROPERTY_IDS, GenConfig, gen_com, gen_store
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +40,22 @@ def test_cli_import_leaves_dataclasses_unloaded():
     code = "import sys; sys.path.insert(0, sys.argv[1]); import clockwork.cli; print('dataclasses' in sys.modules)"
     p = subprocess.run([sys.executable, "-S", "-c", code, CLI_ENV["PYTHONPATH"]], capture_output=True, text=True)
     assert (p.returncode, p.stdout, p.stderr) == (0, "False\n", "")
+
+
+def test_package_import_loads_no_submodule():
+    # The package root re-exports nothing: callers import the defining module.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import clockwork; "
+        "print(sorted(m for m in sys.modules if m.startswith('clockwork.')))"
+    )
+    p = subprocess.run([sys.executable, "-S", "-c", code, CLI_ENV["PYTHONPATH"]], capture_output=True, text=True)
+    assert (p.returncode, p.stdout, p.stderr) == (0, "[]\n", "")
+
+
+def test_check_help_lists_every_property_id():
+    p = run_cli("check", "-h")
+    assert p.returncode == 0
+    assert set(PROPERTY_IDS) <= set(re.findall(r"\w+", p.stdout))
 
 
 def test_run_worked_example_final():

@@ -3,7 +3,7 @@
 These pin what callers rely on: `repr` text (by digest), structural and
 type-sensitive equality with a matching hash, immutability, field order
 in `__match_args__` (which the shrinker reads), and pickle and deepcopy
-round trips, at any depth.
+round trips, at any depth, keeping shared values shared.
 """
 
 import copy
@@ -187,5 +187,44 @@ def test_deep_trees_pickle_and_deepcopy_without_recursion(shape):
 def test_unpickling_runs_the_constructors():
     rebuild, (records,) = Set("x", N(1)).__reduce__()
     assert rebuild(records) == Set("x", N(1))
-    with pytest.raises(ValueError):
-        rebuild([(N, (1,)), (Set, ("IF", _Frozen))])  # the name is a keyword
+    with pytest.raises(ValueError, match="keyword"):
+        rebuild([(N, (1,), ()), (Set, ("IF", _Frozen), (0,))])  # the name is a keyword
+
+
+# --------------------------------------------------------------------------
+# Shared values: a DAG is flattened once per distinct value, not per path
+
+
+def _dag(levels):
+    c = Skip()
+    for _ in range(levels):
+        c = Seq(c, c)
+    return c
+
+
+def _expanded(levels):
+    return Skip() if levels == 0 else Seq(_expanded(levels - 1), _expanded(levels - 1))
+
+
+def test_a_dag_pickles_once_per_distinct_value():
+    dag = _dag(40)  # 41 distinct values on 2**41 - 1 paths
+    assert len(pickle.dumps(dag)) < 2_000
+    assert hash(dag) == hash(_dag(40))
+
+
+@pytest.mark.parametrize("copier", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_copies_keep_shared_values_shared(copier):
+    c = copier(_dag(40))
+    for _ in range(40):
+        assert type(c) is Seq and c.first is c.second
+        c = c.first
+    assert type(c) is Skip
+
+
+def test_sharing_does_not_change_equality_or_hash():
+    dag, tree = _dag(8), _expanded(8)
+    assert tree.first is not tree.second
+    assert dag == tree and hash(dag) == hash(tree)
+    shared = Plus(V("x"), V("x"))
+    assert hash(Less(shared, shared)) == hash(Less(Plus(V("x"), V("x")), Plus(V("x"), V("x"))))
+    assert hash(dag) != hash(_dag(7))
