@@ -25,7 +25,7 @@ import sys
 from typing import NoReturn, Optional, Sequence
 
 from .clocked_env import least_fuel
-from .imp import Com, Store, pretty
+from .imp import Com, Skip, Store, pretty
 from .parser import ParseError, parse_com
 from .smallstep import Terminated, TraceRenderer, iter_trace, run_oracle
 from .testkit import (
@@ -215,17 +215,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.cap < 1:
         _usage("clockwork: --cap must be positive")
     count = -1
-    last = None
     render = TraceRenderer().render
-    for cfg in iter_trace(com, store, args.cap):
+    for focus, context, s in iter_trace(com, store, args.cap):
         try:
-            line = render(cfg)
+            line = render(focus, context, s)
         except ValueError as e:
             _usage(f"clockwork: a value is too long to print: {e}")
         print(line)
         count += 1
-        last = cfg
-    if last is not None and last.is_terminal():
+    if type(focus) is Skip and not context:
         print(f"steps: {count}")
         return EXIT_OK
     print(f"step-limit: {args.cap}")

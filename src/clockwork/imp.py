@@ -49,7 +49,10 @@ class _Frozen:
     constructor with keyword arguments.  ``==``, ``repr`` and the one
     flattening that ``hash``, ``pickle`` and ``copy.deepcopy`` read walk
     nested values of this base with an explicit stack, so a tree of any
-    depth compares, hashes, prints and copies without recursion.
+    depth compares, hashes, prints and copies without recursion.  ``==``
+    compares each pair of shared values once, so two values that share
+    subtrees, such as a value and its pickled copy, compare in time
+    linear in their distinct values, not in their paths.
     """
 
     __slots__ = ()
@@ -65,6 +68,12 @@ class _Frozen:
         if type(other) is not type(self):
             return NotImplemented
         todo = [(self, other)]
+        # id(x) -> y for the last pair (x, y) pushed of values with two or
+        # more fields.  Only such values branch, so a shared subtree is
+        # compared once, not once per path.  Both sides stay alive, so no id
+        # is reused meanwhile; keying by one id holds half the memory of a
+        # set of id pairs on a large tree, where the memo buys nothing.
+        pushed: dict[int, _Frozen] = {}
         while todo:
             a, b = todo.pop()
             for name in a.__match_args__:
@@ -72,6 +81,10 @@ class _Frozen:
                 if x is y:
                     continue
                 if type(x) is type(y) and isinstance(x, _Frozen):
+                    if len(x.__match_args__) > 1:
+                        if pushed.get(id(x)) is y:
+                            continue
+                        pushed[id(x)] = y
                     todo.append((x, y))
                 elif not x == y:
                     return False
@@ -539,14 +552,6 @@ def _bexp_conj(b: Bexp) -> str:
     else:
         text = f"({pretty_bexp(b)})"
     return "! " * nots + text
-
-
-def seq_brackets(first: Com) -> tuple[str, str]:
-    """The text around `first` as the left operand of ';'.
-
-    ';' associates to the right, so a Seq on the left needs parens.
-    """
-    return ("(", ")") if type(first) is Seq else ("", "")
 
 
 def pretty(c: Com) -> str:

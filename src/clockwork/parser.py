@@ -28,8 +28,7 @@ of any nesting depth that fits in memory parses.  Each step either reads
 the start of an atom, a bconj or a term, or hands a finished phrase to
 the frame on top of an explicit stack: a phrase waiting for its next part.
 Within one parse every N and V leaf is built once per distinct token text
-and shared.  Command nodes are built per occurrence, because
-`smallstep.TraceRenderer` keys its memo of siblings by `id`.
+and shared.
 
 A '(' at the start of a bconj is ambiguous: it may open a parenthesized
 boolean or the left operand of a comparison.  The parser reads it once:

@@ -10,92 +10,76 @@ step relation is deterministic:
     While b c      ->  If b (Seq c (While b c)) Skip
 
 This module deliberately shares nothing with the clocked evaluators
-beyond the syntax and aval/bval: iterating ``step`` is an independent
-path to final stores and trace lengths.
+beyond the syntax and aval/bval: its steps are an independent path to
+final stores and trace lengths.
 
-``step`` and ``iter_trace`` state the relation literally and are the
-reference: each step walks the left Seq spine down to the redex and
-rebuilds it, O(depth).  ``run_oracle_stats`` (and ``run_oracle`` over
-it) refocuses instead (Danvy & Nielsen, "Refocusing in reduction
-semantics", 2004): it keeps the pending right siblings of that spine as
-an explicit context across steps and decomposes only each new
-contractum, so it takes the same steps, in the same order, in time
-linear in their number.  It takes each While unfold together with the
-step of the If that the unfold makes, and builds neither that If nor
-its Seq: a true guard pushes the loop and focuses its body, which is
-what decomposing ``Seq c (While b c)`` does, and a false guard focuses
-Skip.  Both steps are counted, and the cap can fall between them.  It
-reads variables from the store's bindings dict, as the clocked
-evaluators do; ``Store.set`` stays its only write.
+Every walk here refocuses (Danvy & Nielsen, "Refocusing in reduction
+semantics", 2004): it keeps the right siblings pending on the left Seq
+spine above the redex as an explicit context, a stack, across steps,
+and decomposes only each new contractum.  So it takes the steps of the
+relation, in the same order, in time linear in their number however
+the program is nested.  `tests/reference_smallstep.py` keeps the
+relation stated literally, a step that walks down from the root and
+rebuilds the spine, and the tests hold every walk here to it.
+
+``iter_trace`` yields each configuration as its focus, a snapshot of
+its context and its store; ``TraceRenderer`` prints one from those
+without rebuilding the command.  A While unfold builds its If, so the
+trace shows that configuration.
+
+``run_oracle_stats`` (and ``run_oracle`` over it) takes each While
+unfold together with the step of the If that the unfold makes, and
+builds neither that If nor its Seq: a true guard pushes the loop and
+focuses its body, which is what decomposing ``Seq c (While b c)`` does,
+and a false guard focuses Skip.  Both steps are counted, and the cap
+can fall between them.
 
 ``trace_stores`` walks the same steps the same way and collects the
 stores of the configurations ``iter_trace`` would yield: the initial
 store and the store after each Set step, the only step that changes it.
 It builds no configuration.
+
+The walks read variables from the store's bindings dict, as the clocked
+evaluators do; ``Store.set`` stays their only write.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
-from .imp import Com, If, Seq, Set, Skip, Store, While, _check_int, _Frozen, _set, aval, bval, pretty, seq_brackets
+from .imp import Com, If, Seq, Set, Skip, Store, While, _check_int, _Frozen, _set, aval, bval, pretty
 
 _SKIP = Skip()
 
 
-class Config(_Frozen):
-    """One small-step machine state."""
-
-    __match_args__ = ("com", "store")
-    __slots__ = __match_args__
-
-    def __init__(self, com: Com, store: Store) -> None:
-        _set(self, "com", com)
-        _set(self, "store", store)
-
-    def is_terminal(self) -> bool:
-        return type(self.com) is Skip
-
-    def render(self) -> str:
-        return f"⟨{pretty(self.com)}, {self.store.pretty()}⟩"
-
-
 class TraceRenderer:
-    """Renders the configurations of one trace, in order, as `Config.render` does.
+    """Prints the configurations of one trace, in order, each as
+    ``⟨pretty(c), store.pretty()⟩`` for the command c it stands for.
 
-    A step rebuilds only the left Seq spine down to the redex and keeps
-    every right sibling on it as the same object.  So each line
-    pretty-prints only the redex and the siblings that are new, and takes
-    the text of the others from the previous line.  After each line only
-    the current spine's siblings stay in the memo; they are disjoint
-    subtrees, so it holds at most about one program's text.
+    The context is a stack: an entry keeps its position, counted from the
+    outermost, for as long as the steps work inside it.  So each line
+    pretty-prints only the focus and the entries that are new at their
+    position, and takes the text of the others from the previous line.
+    It holds the text of one context, at most about one program's text.
     """
 
     def __init__(self) -> None:
-        # id(sibling) -> (sibling, text).  The entry holds the node, so its
-        # id cannot be reused by a new node while the entry lives.
-        self._memo: dict[int, tuple[Com, str]] = {}
+        self._texts: list[tuple[Com, str]] = []  # per context entry, outermost first: (entry, text)
 
-    def render(self, cfg: Config) -> str:
-        memo, kept = self._memo, {}
-        openings: list[str] = []
-        tail: list[tuple[str, str]] = []  # per spine node: closing bracket, sibling text
-        c = cfg.com
-        while type(c) is Seq:
-            sibling = c.second
-            entry = memo.get(id(sibling))
-            if entry is None:
-                entry = (sibling, pretty(sibling))
-            kept[id(sibling)] = entry
-            opening, closing = seq_brackets(c.first)
-            openings.append(opening)
-            tail.append((closing, entry[1]))
-            c = c.first
-        self._memo = kept
-        parts = ["⟨", *openings, pretty(c)]
-        for closing, text in reversed(tail):
-            parts += (closing, " ; ", text)
-        parts += (", ", cfg.store.pretty(), "⟩")
+    def render(self, focus: Com, context: tuple[Com, ...], store: Store) -> str:
+        texts = self._texts
+        del texts[len(context) :]
+        for i, entry in enumerate(context):
+            if i == len(texts):
+                texts.append((entry, pretty(entry)))
+            elif texts[i][0] is not entry:
+                texts[i] = (entry, pretty(entry))
+        # The command is Seq(... Seq(focus, innermost) ..., outermost), and a
+        # Seq as the left operand of ';' is printed in parentheses.
+        parts = ["⟨", "(" * (len(context) - 1), pretty(focus)]
+        if texts:
+            parts += (" ; ", ") ; ".join([text for _, text in reversed(texts)]))
+        parts += (", ", store.pretty(), "⟩")
         return "".join(parts)
 
 
@@ -119,61 +103,49 @@ class StepLimit(_Frozen):
 OracleOutcome = Union[Terminated, StepLimit]
 
 
-def _step_parts(c: Com, s: Store) -> tuple[Com, Store]:
-    """One step of a non-terminal command."""
-    # Walk down the left spine of Seq nodes to the redex, iteratively so
-    # that deeply left-nested programs cannot overflow the call stack.
-    spine: list[Com] = []
-    while type(c) is Seq and type(c.first) is not Skip:
-        spine.append(c.second)
-        c = c.first
-    cls = type(c)
-    if cls is Seq:  # first part is Skip
-        c = c.second
-    elif cls is Set:
-        s = s.set(c.var, aval(c.expr, s))
-        c = _SKIP
-    elif cls is If:
-        c = c.then_branch if bval(c.guard, s) else c.else_branch
-    elif cls is While:
-        c = If(c.guard, Seq(c.body, c), _SKIP)
-    else:
-        raise TypeError(f"not a command: {c!r}")
-    while spine:
-        c = Seq(c, spine.pop())
-    return c, s
-
-
 def _check_cap(cap: int) -> None:
     _check_int(cap, "step cap", 1)
 
 
-def step(cfg: Config) -> Optional[Config]:
-    """The unique successor of `cfg`, or None when `cfg` is terminal."""
-    if type(cfg.com) is Skip:
-        return None
-    c, s = _step_parts(cfg.com, cfg.store)
-    return Config(c, s)
-
-
-def iter_trace(c: Com, s: Store, cap: int) -> Iterator[Config]:
+def iter_trace(c: Com, s: Store, cap: int) -> Iterator[tuple[Com, tuple[Com, ...], Store]]:
     """Yield the configurations from ⟨c, s⟩, at most `cap` steps long.
 
-    The initial configuration is always yielded; at most cap + 1
-    configurations are produced.  The trace is complete exactly when the
-    last yielded configuration is terminal.
+    Each is ``(focus, context, store)``: the command it stands for is the
+    focus, which is not a Seq, with the context's entries as the right
+    operands of ';' around it, innermost last.  The initial configuration
+    is always yielded; at most cap + 1 configurations are produced.  The
+    trace is complete exactly when the last yielded one has a SKIP focus
+    and an empty context.
     """
     _check_cap(cap)
-    yield Config(c, s)
-    for _ in range(cap):
-        if type(c) is Skip:
+    ctx: list[Com] = []  # pending right siblings, innermost last
+    push, pop = ctx.append, ctx.pop
+    n = 0
+    while True:
+        cls = type(c)
+        while cls is Seq:
+            push(c.second)
+            c = c.first
+            cls = type(c)
+        yield c, tuple(ctx), s
+        if n == cap or (cls is Skip and not ctx):
             return
-        c, s = _step_parts(c, s)
-        yield Config(c, s)
+        n += 1
+        if cls is Skip:  # Seq Skip c2 -> c2
+            c = pop()
+        elif cls is Set:
+            s = s.set(c.var, aval(c.expr, s._m))
+            c = _SKIP
+        elif cls is If:
+            c = c.then_branch if bval(c.guard, s._m) else c.else_branch
+        elif cls is While:
+            c = If(c.guard, Seq(c.body, c), _SKIP)
+        else:
+            raise TypeError(f"not a command: {c!r}")
 
 
 def run_oracle(c: Com, s: Store, cap: int) -> OracleOutcome:
-    """The outcome of iterating `step` from ⟨c, s⟩ for at most `cap` steps."""
+    """The outcome of the trace from ⟨c, s⟩, at most `cap` steps long."""
     outcome, _ = run_oracle_stats(c, s, cap)
     return outcome
 

@@ -855,26 +855,3 @@ def replay_case(property_id: str, cfg: GenConfig, case_index: int) -> tuple[dict
         verdict = f"fail: expected {outcome[0]}; got {outcome[1]}"
     return _render_inputs(inputs), verdict
 
-
-__all__ = [
-    "ENUM_STORES",
-    "Failure",
-    "GenConfig",
-    "ORACLE_CAP",
-    "PROPERTY_IDS",
-    "PropertyReport",
-    "SEMANTICS",
-    "SKIPPED",
-    "SplitMix64",
-    "TIMEOUT_FUEL_CEILING",
-    "case_stream",
-    "enumerate_coms",
-    "fuel_search",
-    "gen_com",
-    "gen_store",
-    "mix64",
-    "p9_agreement",
-    "replay_case",
-    "run_property",
-    "search_bound",
-]

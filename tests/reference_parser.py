@@ -1,6 +1,6 @@
 """The recursive-descent parser that `clockwork.parser` replaced, kept as
-the reference for the differential tests, the way `smallstep.step` is the
-reference for the refocusing oracle.
+the reference for the differential tests, the way `reference_smallstep` is
+for the refocusing walks.
 
 `_Parser` and `_lex` are kept as they were; only the AST, `ParseError` and
 `_error_at` come from the package.  It recurses once per nesting level, so

@@ -16,7 +16,6 @@ failure report) and asserts the criterion at its stated tolerance:
   C11 stack safety at fuel 2,000,000, < 30 s
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -24,7 +23,7 @@ import time
 from pathlib import Path
 
 from clockwork.clocked_env import ev, ev_min
-from clockwork.clocked_state import cval, cval_guard, cval_tick, fix_clock
+from clockwork.clocked_state import cval, cval_guard, fix_clock
 from clockwork.imp import Bc, If, Less, N, Plus, Seq, Set, Skip, Store, V, While, bval
 from clockwork.parser import parse_com
 from clockwork.testkit import GenConfig, run_property

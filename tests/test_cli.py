@@ -4,20 +4,22 @@ is patched or a test makes a thousand calls)."""
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from reference_smallstep import iter_trace
 
 from clockwork import cli
 from clockwork.imp import If, Seq, Store, While, pretty
 from clockwork.parser import parse_com
-from clockwork.smallstep import iter_trace
 from clockwork.testkit import PROPERTY_IDS, GenConfig, gen_com, gen_store
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 # the subprocesses run this checkout's package, installed or not
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 LOOP = str(DATA / "loop.imp")
@@ -418,7 +420,8 @@ def _seq_shapes(c) -> set:
 
 
 def test_trace_lines_equal_config_render_on_generated_programs(tmp_path, capsys):
-    # `trace` reuses the text of unchanged subtrees from line to line;
+    # `trace` refocuses and reuses the text of unchanged context entries
+    # from line to line; the reference steps the literal relation, and
     # Config.render() pretty-prints every configuration from scratch.
     path = tmp_path / "p.imp"
     cap = 300
@@ -511,6 +514,36 @@ def test_run_long_chains_under_all_semantics_with_the_oracle(tmp_path, capsys, c
         assert doc["oracle_steps"] > 0, sem
 
 
+DEEP = 10_000  # ten times the default recursion limit
+
+# Commands nested 10,000 deep, with the final store and the oracle's steps.
+DEEP_PROGRAMS = {
+    "seq-left": (
+        "(" * (DEEP - 1) + "x := 1" + " ; x := x + 1)" * (DEEP - 1) + " ; x := x + 1",
+        {"x": DEEP + 1},
+        2 * DEEP + 1,
+    ),
+    "seq-right": ("x := x + 1 ; " * DEEP + "SKIP", {"x": DEEP}, 2 * DEEP),
+    "if": ("IF x < 1 THEN " * DEEP + "y := 1" + " ELSE SKIP FI" * DEEP, {"y": 1}, DEEP + 1),
+    "while": ("WHILE x < 1 DO " * DEEP + "x := 1" + " OD" * DEEP, {"x": 1}, 5 * DEEP + 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_PROGRAMS)
+def test_deep_commands_run_under_all_semantics_and_trace(tmp_path, capsys, shape):
+    text, final, steps = DEEP_PROGRAMS[shape]
+    path = tmp_path / f"{shape}.imp"
+    path.write_text(text + "\n", encoding="utf-8")
+    for sem in cli._SEM_CHOICES:
+        assert cli.main(["run", str(path), "--sem", sem, "--fuel", "100000", "--oracle", "--cap", "100000"]) == 0, sem
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["store"], doc["oracle_steps"]) == (final, steps), sem
+    assert cli.main(["trace", str(path), "--cap", "3"]) == 2
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert (len(lines), lines[0], lines[-1], err) == (5, f"⟨{text}, {{}}⟩", "step-limit: 3", "")
+
+
 def test_parse_command():
     p = run_cli("parse", LOOP)
     assert p.returncode == 0
@@ -585,3 +618,32 @@ def test_golden_files_byte_for_byte(golden, args):
         [sys.executable, "-m", "clockwork", *args], capture_output=True, env=CLI_ENV
     )
     assert p.stdout == (GOLDEN / golden).read_bytes()
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each `$ clockwork ...` line in the README's code blocks, with the
+    lines shown after it up to the next `$` line or the block's end."""
+    examples: list[tuple[str, list[str]]] = []
+    shown = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ clockwork "):
+            examples.append((line[2:], shown := []))
+        elif line.startswith("```"):
+            shown = None
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command,shown", README_EXAMPLES, ids=[command for command, _ in README_EXAMPLES])
+def test_readme_examples_print_what_the_readme_shows(monkeypatch, capsys, command, shown):
+    monkeypatch.chdir(README.parent)
+    cli.main(shlex.split(command)[1:])
+    assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_the_readme_has_examples():
+    assert len(README_EXAMPLES) >= 3

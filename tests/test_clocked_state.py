@@ -164,13 +164,6 @@ def test_cval_tick_strict_decrease():
 # --- the unfold law, against the small-step trace ---
 
 
-def _redex(c):
-    """The command the next small step contracts: the end of the left Seq spine."""
-    while type(c) is Seq and type(c.first) is not Skip:
-        c = c.first
-    return c
-
-
 def test_consumed_fuel_counts_while_unfolds():
     # cval ticks only at a While unfold whose guard holds, so at fuel t it
     # ends with t - u left when the trace unfolds u <= t times, and times
@@ -178,11 +171,10 @@ def test_consumed_fuel_counts_while_unfolds():
     finals = timeouts = limited = 0
     for c, s, t in _cases(1000, seed=43, budget=12):
         u = 0
-        for cfg in iter_trace(c, s, 2000):
-            w = _redex(cfg.com)
-            u += type(w) is While and bval(w.guard, cfg.store)
-        if cfg.is_terminal():
-            want = (cfg.store, t - u) if u <= t else None
+        for focus, context, store in iter_trace(c, s, 2000):  # a While focus is the next redex
+            u += type(focus) is While and bval(focus.guard, store)
+        if type(focus) is Skip and not context:
+            want = (store, t - u) if u <= t else None
             finals += want is not None
             timeouts += want is None
         else:

@@ -1,7 +1,8 @@
-"""Import hygiene: every name a `clockwork` module imports is used there.
+"""Import hygiene: every name a `clockwork` module, a test or a script
+imports is used there.
 
-The check reads each module's source with `ast`: an imported name counts
-as used when it is loaded as a plain name anywhere in the module.
+The check reads each file's source with `ast`: an imported name counts
+as used when it is loaded as a plain name anywhere in the file.
 """
 
 import ast
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clockwork"
-MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# Package modules by their name; tests and scripts by their path in the repo.
+FILES = {path.stem: path for path in (ROOT / "src" / "clockwork").glob("*.py")}
+FILES.update({f"{path.parent.name}/{path.stem}": path for d in ("tests", "scripts") for path in (ROOT / d).glob("*.py")})
 
 # Imported but never read.  perfbench's tracer re-points testkit.iter_trace,
 # so the import stays until the tracer wraps smallstep.trace_stores instead.
@@ -34,6 +37,6 @@ def test_the_check_finds_an_unused_import():
     assert _unused_imports(source) == ["V", "os"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(FILES))
 def test_every_imported_name_is_used(module):
-    assert _unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == UNUSED.get(module, [])
+    assert _unused_imports(FILES[module].read_text(encoding="utf-8")) == UNUSED.get(module, [])

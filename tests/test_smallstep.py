@@ -6,18 +6,19 @@ from functools import cache, reduce
 
 import pytest
 
+import reference_smallstep
+from reference_smallstep import Config, step
+
 from clockwork import smallstep
 from clockwork.imp import Bc, If, Less, N, Plus, Seq, Set, Skip, Store, V, While, pretty
 from clockwork.parser import parse_com
 from clockwork.smallstep import (
-    Config,
     StepLimit,
     Terminated,
     TraceRenderer,
     iter_trace,
     run_oracle,
     run_oracle_stats,
-    step,
     trace_stores,
 )
 from clockwork.testkit import GenConfig, _gen_case, case_stream, gen_com, gen_store
@@ -95,25 +96,29 @@ def test_run_oracle_exact_cap_boundary():
 
 def test_iter_trace_contents():
     configs = list(iter_trace(Set("x", N(1)), S0, 10))
-    assert len(configs) == 2
-    assert configs[0] == Config(Set("x", N(1)), S0)
-    assert configs[-1].is_terminal()
+    assert configs == [(Set("x", N(1)), (), S0), (Skip(), (), Store({"x": 1}))]
 
     only = list(iter_trace(Skip(), S0, 10))
-    assert only == [Config(Skip(), S0)]
+    assert only == [(Skip(), (), S0)]
+
+    # The context holds the right operands of ';', innermost last.
+    a, b, c = Set("x", N(1)), Set("y", N(2)), Set("z", N(3))
+    configs = list(iter_trace(Seq(Seq(a, b), c), S0, 1))
+    assert configs == [(a, (c, b), S0), (Skip(), (c, b), Store({"x": 1}))]
 
 
 def test_iter_trace_respects_cap():
     diverging = While(Bc(True), Skip())
     configs = list(iter_trace(diverging, S0, 7))
     assert len(configs) == 8
-    assert not configs[-1].is_terminal()
+    assert configs[1] == (If(Bc(True), Seq(Skip(), diverging), Skip()), (), S0)  # the unfold's IF
+    assert configs[-1][:2] != (Skip(), ())  # not terminal
 
 
 def test_trace_matches_run_oracle():
     configs = list(iter_trace(WORKED, S0, 1000))
     assert len(configs) - 1 == WORKED_STEPS
-    assert configs[-1] == Config(Skip(), Store({"x": 3}))
+    assert configs[-1] == (Skip(), (), Store({"x": 3}))
 
 
 def test_config_render():
@@ -131,17 +136,13 @@ def test_trace_renderer_memo_holds_only_the_spine_siblings():
         pairs = [Seq(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
         level = pairs + level[len(level) - len(level) % 2 :]
     renderer = TraceRenderer()
-    for cfg in iter_trace(level[0], S0, 50):
-        line = renderer.render(cfg)
+    configs = zip(iter_trace(level[0], S0, 50), reference_smallstep.iter_trace(level[0], S0, 50), strict=True)
+    for (focus, context, store), cfg in configs:
+        line = renderer.render(focus, context, store)
         assert line == cfg.render()
-        siblings = []
-        c = cfg.com
-        while type(c) is Seq:
-            siblings.append(c.second)
-            c = c.first
-        assert set(renderer._memo) == {id(s) for s in siblings}
-        assert all(renderer._memo[id(s)][0] is s for s in siblings)
-        assert sum(len(text) for _, text in renderer._memo.values()) < len(line)
+        assert len(renderer._texts) == len(context)
+        assert all(entry is sibling for (entry, _), sibling in zip(renderer._texts, context))
+        assert sum(len(text) for _, text in renderer._texts) < len(line)
 
 
 def test_determinism():
@@ -222,7 +223,7 @@ def test_run_oracle_stats_equals_iterating_step():
 
 
 def test_run_oracle_stats_makes_the_calls_of_iterating_step(monkeypatch):
-    # The oracle evaluates through smallstep's aval/bval and Store.set, as
+    # Both evaluate through their module's aval/bval and Store.set, as
     # looked up at each call, so a patch of any of them sees every call.
     cases = _differential_cases()[::10]
     calls = []
@@ -235,8 +236,9 @@ def test_run_oracle_stats_makes_the_calls_of_iterating_step(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(smallstep, "aval", counted("aval", aval))
-    monkeypatch.setattr(smallstep, "bval", counted("bval", bval))
+    for module in (smallstep, reference_smallstep):
+        monkeypatch.setattr(module, "aval", counted("aval", aval))
+        monkeypatch.setattr(module, "bval", counted("bval", bval))
     monkeypatch.setattr(Store, "set", counted("set", store_set))
     total = 0
     for c, s, cap in cases:
@@ -248,6 +250,14 @@ def test_run_oracle_stats_makes_the_calls_of_iterating_step(monkeypatch):
         total += len(calls)
         calls.clear()
     assert total > 10_000
+
+
+def test_iter_trace_equals_the_reference_trace():
+    # The same configurations, each rebuilt into the command it stands for,
+    # with the same stores.
+    for c, s, cap in _differential_cases():
+        got = [Config(reduce(Seq, reversed(context), focus), store) for focus, context, store in iter_trace(c, s, cap)]
+        assert got == list(reference_smallstep.iter_trace(c, s, cap)), (pretty(c), s, cap)
 
 
 CAP_BOUNDARY_PROGRAMS = [
@@ -278,7 +288,8 @@ def test_trace_stores_equals_the_stores_of_iter_trace():
         inp, _ = _gen_case("P5", case_stream(7, k))
         c, s = Seq(inp["first"], inp["second"]), inp["store"]
         for cap in (1, 2, 3, 50, 4096):
-            assert trace_stores(c, s, cap) == {cfg.store for cfg in iter_trace(c, s, cap)}, (pretty(c), s, cap)
+            want = {cfg.store for cfg in reference_smallstep.iter_trace(c, s, cap)}
+            assert trace_stores(c, s, cap) == want, (pretty(c), s, cap)
 
 
 @pytest.mark.parametrize("text", CAP_BOUNDARY_PROGRAMS)
@@ -287,7 +298,7 @@ def test_trace_stores_equals_the_stores_of_iter_trace_at_every_cap(text):
     outcome, _ = _reference(c, S0, REF_CAP)
     steps = outcome.steps if type(outcome) is Terminated else 60  # WHILE true DO SKIP OD
     for cap in range(1, steps + 2):
-        assert trace_stores(c, S0, cap) == {cfg.store for cfg in iter_trace(c, S0, cap)}, cap
+        assert trace_stores(c, S0, cap) == {cfg.store for cfg in reference_smallstep.iter_trace(c, S0, cap)}, cap
 
 
 def _node_inits(run) -> int:
@@ -315,7 +326,7 @@ def test_run_oracle_stats_unfolds_while_without_building_nodes():
     assert _node_inits(lambda: results.append(run_oracle_stats(c, S0, 10_000))) == 0
     assert results == [(Terminated(Store({"x": 1000}), 4004), 1001)]
     # The counter sees the nodes the reference builds on the same program.
-    assert _node_inits(lambda: sum(1 for _ in iter_trace(c, S0, 10_000))) > 0
+    assert _node_inits(lambda: sum(1 for _ in reference_smallstep.iter_trace(c, S0, 10_000))) > 0
 
 
 def test_left_nested_program_runs_in_linear_time():

@@ -1,4 +1,5 @@
-"""The immutable value classes: the twelve syntax nodes and six records.
+"""The immutable value classes: the twelve syntax nodes, the five records
+of the package and the reference step relation's `Config`.
 
 These pin what callers rely on: `repr` text (by digest), structural and
 type-sensitive equality with a matching hash, immutability, field order
@@ -12,9 +13,10 @@ import pickle
 import sys
 
 import pytest
+from reference_smallstep import Config
 
 from clockwork.imp import And, Bc, If, Less, N, Not, Plus, Seq, Set, Skip, Store, V, While, _Frozen
-from clockwork.smallstep import Config, StepLimit, Terminated
+from clockwork.smallstep import StepLimit, Terminated
 from clockwork.testkit import Failure, GenConfig, PropertyReport, gen_com
 
 FAILURE = Failure(
@@ -227,4 +229,20 @@ def test_sharing_does_not_change_equality_or_hash():
     assert dag == tree and hash(dag) == hash(tree)
     shared = Plus(V("x"), V("x"))
     assert hash(Less(shared, shared)) == hash(Less(Plus(V("x"), V("x")), Plus(V("x"), V("x"))))
+    # A value shared on one side meets a different partner on each path.
+    assert Less(shared, shared) != Less(Plus(V("x"), N(2)), Plus(V("x"), V("x")))
+    assert Less(shared, shared) != Less(Plus(V("x"), V("x")), Plus(V("x"), N(2)))
     assert hash(dag) != hash(_dag(7))
+
+
+@pytest.mark.parametrize("copier", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_a_dag_equals_its_copy_once_per_distinct_pair(copier):
+    # The copy shares no node with the original, so `==` meets each shared
+    # value along 2**40 paths unless it remembers the pairs it compared.
+    # `other` differs from `dag` only at the leftmost leaf, the last one the
+    # walk reaches.
+    dag, other = Set("x", N(1)), Set("x", N(2))
+    for _ in range(40):
+        dag, other = Seq(dag, dag), Seq(other, dag)
+    assert dag == copier(dag) and not dag != copier(dag)
+    assert other != copier(dag) and not other == copier(dag)
