@@ -136,23 +136,18 @@ def _parse_init(spec: str) -> Store:
         _usage(f"clockwork: bad --init: {e}")
 
 
-def _parse_fuel(spec: str) -> tuple[Optional[int], Optional[int]]:
-    """Returns (exact_fuel, search_max); exactly one is set."""
-    if spec.startswith("search:"):
-        try:
-            max_fuel = _decimal(spec[len("search:"):])
-            if max_fuel < 1:
-                raise ValueError
-        except ValueError:
-            _usage(f"clockwork: bad --fuel search spec {spec!r}")
-        return None, max_fuel
+def _parse_fuel(spec: str) -> tuple[bool, int]:
+    """Returns (search, fuel): whether `spec` is search:MAX, and N or MAX."""
+    search = spec.startswith("search:")
     try:
-        fuel = _decimal(spec)
-        if fuel < 0:
+        fuel = _decimal(spec.removeprefix("search:"))
+        if fuel < (1 if search else 0):
             raise ValueError
     except ValueError:
+        if search:
+            _usage(f"clockwork: bad --fuel search spec {spec!r}")
         _usage(f"clockwork: bad --fuel {spec!r}: expected N or search:MAX")
-    return fuel, None
+    return search, fuel
 
 
 def _emit(obj: dict) -> None:
@@ -167,39 +162,31 @@ def cmd_run(args: argparse.Namespace) -> int:
     com = _load_program(args.file)
     store = _parse_init(args.init)
     sem_key = args.sem.replace("-", "_")
-    fn = SEMANTICS[sem_key]
-
-    exact_fuel, search_max = _parse_fuel(args.fuel)
+    search, fuel = _parse_fuel(args.fuel)
     if args.oracle and args.cap < 1:
         _usage("clockwork: --cap must be positive")
-    report: dict[str, object] = {"semantics": args.sem}
-    if search_max is not None:
-        report["fuel_in"] = f"search:{search_max}"
-        found = fuel_search(sem_key, com, store, search_max)
-        if found is None:
-            report["outcome"] = "not-found"
-            result = None
-            effective_fuel = None
-        else:
-            effective_fuel, result = found
+    report: dict[str, object] = {"semantics": args.sem, "fuel_in": f"search:{fuel}" if search else fuel}
+    result = None
+    if search:
+        found = fuel_search(sem_key, com, store, fuel)
+        if found is not None:
+            fuel, result = found
     else:
-        report["fuel_in"] = exact_fuel
-        effective_fuel = exact_fuel
-        result = fn(com, store, exact_fuel)
-        if result is None:
-            report["outcome"] = "timeout"
+        result = SEMANTICS[sem_key](com, store, fuel)
 
-    if result is not None:
+    if result is None:
+        report["outcome"] = "not-found" if search else "timeout"
+    elif isinstance(result, Store):
         report["outcome"] = "final"
-        if isinstance(result, Store):
-            report["store"] = result.to_dict()
-            # The evaluator's result is reported; its twin measures the fuel.
-            report["fuel_consumed"] = least_fuel(com, store, effective_fuel, sem_key == "ev")[1]
-        else:
-            final_store, leftover = result
-            report["store"] = final_store.to_dict()
-            report["leftover_fuel"] = leftover
-            report["fuel_consumed"] = effective_fuel - leftover
+        report["store"] = result.to_dict()
+        # The evaluator's result is reported; its twin measures the fuel.
+        report["fuel_consumed"] = least_fuel(com, store, fuel, sem_key == "ev")[1]
+    else:
+        final_store, leftover = result
+        report["outcome"] = "final"
+        report["store"] = final_store.to_dict()
+        report["leftover_fuel"] = leftover
+        report["fuel_consumed"] = fuel - leftover
 
     if args.oracle:
         outcome = run_oracle(com, store, args.cap)

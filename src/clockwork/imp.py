@@ -68,26 +68,26 @@ class _Frozen:
         if type(other) is not type(self):
             return NotImplemented
         todo = [(self, other)]
-        # id(x) -> y for the last pair (x, y) pushed of values with two or
-        # more fields.  Only such values branch, so a shared subtree is
-        # compared once, not once per path.  Both sides stay alive, so no id
-        # is reused meanwhile; keying by one id holds half the memory of a
-        # set of id pairs on a large tree, where the memo buys nothing.
-        pushed: dict[int, _Frozen] = {}
+        # id(a) -> b for each pair (a, b) that pushed two or more pairs.  Only
+        # those branch, so a shared subtree is compared once, not once per
+        # path.  Both sides stay alive, so no id is reused meanwhile.
+        branched: dict[int, _Frozen] = {}
         while todo:
             a, b = todo.pop()
+            if branched.get(id(a)) is b:
+                continue
+            pushed = 0
             for name in a.__match_args__:
                 x, y = getattr(a, name), getattr(b, name)
                 if x is y:
                     continue
                 if type(x) is type(y) and isinstance(x, _Frozen):
-                    if len(x.__match_args__) > 1:
-                        if pushed.get(id(x)) is y:
-                            continue
-                        pushed[id(x)] = y
                     todo.append((x, y))
+                    pushed += 1
                 elif not x == y:
                     return False
+            if pushed > 1:
+                branched[id(a)] = b
         return True
 
     def __hash__(self) -> int:

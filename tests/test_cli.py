@@ -157,6 +157,21 @@ def test_run_rejects_bad_cap_before_evaluating(monkeypatch, capsys):
     assert err == "clockwork: --cap must be positive\n"
 
 
+def test_run_table_of_outcomes_under_every_semantics(capsys):
+    # Each row of the golden is "program sem fuel exit json": final, timeout
+    # and not-found, from an exact fuel and from a search, for both clocks.
+    rows = []
+    for program in ("loop", "diverge"):
+        path = str(README.parent / "programs" / f"{program}.imp")
+        for sem in cli._SEM_CHOICES:
+            for fuel in ("0", "3", "200", "search:1", "search:64"):
+                code = cli.main(["run", path, "--sem", sem, "--fuel", fuel, "--oracle", "--cap", "100"])
+                out, err = capsys.readouterr()
+                assert err == ""
+                rows.append(f"{program} {sem} {fuel} {code} {out}")
+    assert "".join(rows).splitlines() == (GOLDEN / "run_table.txt").read_text(encoding="utf-8").splitlines()
+
+
 def _flat(n: int) -> str:
     return " ; ".join(f"x{i % 7} := {i + 1}" for i in range(n))
 
