@@ -28,7 +28,19 @@ of any nesting depth that fits in memory parses.  Each step either reads
 the start of an atom, a bconj or a term, or hands a finished phrase to
 the frame on top of an explicit stack: a phrase waiting for its next part.
 Within one parse every N and V leaf is built once per distinct token text
-and shared.
+and shared.  Four fixed runs of tokens are read in one step, without
+frames, when each leaf in them has been read before in the same parse:
+`x := leaf` and `x := leaf + leaf` not followed by '+', a bconj
+`leaf < leaf` not followed by '+', and an IF or WHILE whose guard is
+`leaf < leaf` followed directly by THEN or DO.
+
+A parse runs with the cyclic GC paused, and leaves it enabled exactly
+when it was before.  A parse builds only acyclic values: a node refers
+only to nodes built before it, a frame only to nodes and no node to a
+frame, and reference counting frees the frames.  So a GC pass during a
+parse would walk the growing tree and find nothing to free; on a large
+program such passes are a sizable share of the parse.  The pause acts
+on the whole process, other threads included, while the parse runs.
 
 A '(' at the start of a bconj is ambiguous: it may open a parenthesized
 boolean or the left operand of a comparison.  The parser reads it once:
@@ -45,6 +57,7 @@ into the left operand of the comparison outside.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import re
 
@@ -147,6 +160,17 @@ def _leaf(text: str, index: int, tok: str) -> N | V | bool:
 
 
 def _parse(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
+    """Parse all of `text` as the phrase that `frame` collects, with the cyclic GC paused."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read(text, want, frame)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
     """Parse all of `text` as the phrase that `frame` collects, starting with a `want`."""
     toks = _lex(text)
     leaves: dict[str, N | V | bool] = {}  # token text -> its leaf, or False
@@ -162,6 +186,9 @@ def _parse(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
                 if leaf and toks[pos + 3] != "+":
                     val = Set(tok, leaf)
                     pos += 3
+                elif leaf and (right := leaves.get(toks[pos + 4])) and toks[pos + 5] != "+":
+                    val = Set(tok, Plus(leaf, right))
+                    pos += 5
                 else:
                     stack.append((_PAIR, Set, tok))
                     stack.append([_TERMS, None])
@@ -172,7 +199,14 @@ def _parse(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
                 val = Skip()
                 pos += 1
             elif tok == "IF" or tok == "WHILE":
-                stack.append((_PARTS, _IF_KEYS, If, []) if tok == "IF" else (_PARTS, _WHILE_KEYS, While, []))
+                keys, build = (_IF_KEYS, If) if tok == "IF" else (_WHILE_KEYS, While)
+                left = leaves.get(toks[pos + 1])
+                if left and toks[pos + 2] == "<" and (right := leaves.get(toks[pos + 3])) and toks[pos + 4] == keys[0]:
+                    stack.append((_PARTS, keys, build, [Less(left, right)]))
+                    stack.append((_SEQ, []))
+                    pos += 5
+                    continue
+                stack.append((_PARTS, keys, build, []))
                 stack.append((_CONJ, []))
                 pos += 1
                 want = _BCONJ

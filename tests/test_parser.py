@@ -1,5 +1,6 @@
 """Lexer/parser unit tests and pretty-printer round trips."""
 
+import gc
 import sys
 
 import pytest
@@ -220,6 +221,58 @@ def test_overlong_literals_are_parse_errors_at_the_literal():
             parse(src)
         assert exc.value.position == position
         assert exc.value.message == f"integer literal too long ({digits + 1} digits)"
+
+
+# 20,000 statements, terms or conjuncts: far more allocations than the
+# cyclic GC's first threshold, so a parse with the GC running collects.
+LONG_INPUTS = [
+    (parse_com, " ; ".join(f"x{i % 7} := y + {i}" for i in range(20_000))),
+    (parse_aexp, " + ".join(f"x{i % 7}" for i in range(20_000))),
+    (parse_bexp, " && ".join(f"x{i % 7} < {i}" for i in range(20_000))),
+]
+
+
+@pytest.mark.parametrize("parse,text", LONG_INPUTS, ids=["com", "aexp", "bexp"])
+def test_a_long_parse_starts_no_gc_collection(parse, text):
+    starts = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(on_gc)
+    try:
+        parse(text)
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert starts == []
+
+
+def _gc_state_inputs():
+    over = "1" * (sys.get_int_max_str_digits() + 1)
+    for parse, valid, overlong in [
+        (parse_com, "x := y + 1", f"x := {over}"),
+        (parse_aexp, "y + 1", over),
+        (parse_bexp, "x < y + 1", f"{over} < 1"),
+    ]:
+        for name, text in [("valid", valid), ("lexical", "x ?"), ("syntax", ")"), ("overlong", overlong)]:
+            yield pytest.param(parse, text, id=f"{parse.__name__}-{name}")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("parse,text", _gc_state_inputs())
+def test_parsing_leaves_the_gc_as_it_found_it(enabled, parse, text):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            parse(text)
+        except ParseError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def _parser_lines(text: str) -> int:

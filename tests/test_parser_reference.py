@@ -5,7 +5,8 @@ replaced.  On every input both must give the same tree, or the same
 ParseError position, message and expected set, through each of the three
 entry points.  The inputs are generated programs and their pretty forms
 with 0-3 token mutations, grammar-built texts with redundant parentheses
-(the shapes where a guard's '(' is ambiguous), and random token strings.
+(the shapes where a guard's '(' is ambiguous), each of those twice over,
+random token strings, and the rows where a phrase fast path ends.
 """
 
 import pytest
@@ -127,15 +128,51 @@ def _mutate(rng, tokens, count):
     return tokens
 
 
+# Where the phrase fast paths (`x := leaf + leaf`, an IF or WHILE guard
+# `leaf < leaf`) stop and the general loop takes over.  They fire only on
+# leaves read before, so each row also comes after PREFIX, which reads them.
+PREFIX = "a := x + y + z + 1 + 2 ; "
+BOUNDARY_ROWS = [
+    "x := y + z",
+    "x := y + z ; SKIP",
+    "x := y + z + 1",
+    "x := y + (z)",
+    "x := y +",
+    "x := y + z +",
+    "x := y + z 1",
+    "x := y + z < 1",
+    "IF x < y THEN SKIP ELSE SKIP FI",
+    "IF x < y && true THEN SKIP ELSE SKIP FI",
+    "IF x < y + 1 THEN SKIP ELSE SKIP FI",
+    "IF x < y",
+    "IF x < y THEN",
+    "IF x < y DO SKIP OD",
+    "IF x < y FI",
+    "WHILE x < y DO x := x + 1 OD",
+    "WHILE x < y OD",
+    "WHILE x < y THEN SKIP ELSE SKIP FI",
+    "WHILE x < y < z DO SKIP OD",
+    "WHILE x < (y) DO SKIP OD",
+]
+
+
 def differential_inputs(seed, count):
-    """`count` inputs of each kind, drawn from SplitMix64(`seed`)."""
+    """`count` inputs of each kind, drawn from SplitMix64(`seed`), then the boundary rows.
+
+    A generated or grammar-built text is also repeated as `t ; t`, whose
+    second half meets its leaves again, so the fast paths fire.
+    """
     rng = SplitMix64(seed)
     for i in range(count):
         c = gen_com(GenConfig(seed=seed * 1_000_003 + i), 1 + rng.below(14))
-        yield " ".join(_mutate(rng, pretty(c).split(" "), rng.below(4)))
+        text = " ".join(_mutate(rng, pretty(c).split(" "), rng.below(4)))
+        yield from (text, f"{text} ; {text}")
         kind = _pick(rng, ("aexp", "bexp", "com"))
-        yield " ".join(_mutate(rng, _grammar_text(rng, kind, rng.below(5)), rng.below(4)))
+        text = " ".join(_mutate(rng, _grammar_text(rng, kind, rng.below(5)), rng.below(4)))
+        yield from (text, f"{text} ; {text}")
         yield " ".join(_pick(rng, VOCAB) for _ in range(rng.below(12)))
+    for row in BOUNDARY_ROWS:
+        yield from (row, PREFIX + row)
 
 
 def mismatches(inputs):
