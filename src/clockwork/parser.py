@@ -28,11 +28,11 @@ of any nesting depth that fits in memory parses.  Each step either reads
 the start of an atom, a bconj or a term, or hands a finished phrase to
 the frame on top of an explicit stack: a phrase waiting for its next part.
 Within one parse every N and V leaf is built once per distinct token text
-and shared.  Four fixed runs of tokens are read in one step, without
-frames, when each leaf in them has been read before in the same parse:
-`x := leaf` and `x := leaf + leaf` not followed by '+', a bconj
-`leaf < leaf` not followed by '+', and an IF or WHILE whose guard is
-`leaf < leaf` followed directly by THEN or DO.
+and shared.  Four fixed runs of tokens are read in one step, when each
+leaf in them has been read before in the same parse: `x := leaf` and
+`x := leaf + leaf` not followed by '+', a bconj `leaf < leaf` not
+followed by '+', and an IF or WHILE with its guard `leaf < leaf`
+followed directly by THEN or DO.
 
 A parse runs with the cyclic GC paused, and leaves it enabled exactly
 when it was before.  A parse builds only acyclic values: a node refers
