@@ -18,6 +18,7 @@ process (reported in one line, never as a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -76,6 +77,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     top = _ArgumentParser(prog="clockwork", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
@@ -237,9 +239,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         except ValueError:
             _usage("clockwork: CLOCKWORK_SEED must be an integer")
     cfg = GenConfig(seed=seed)
+    memo: dict = {}  # the campaigns share each case's drawn inputs, never results
     all_passed = True
     for pid in ids:
-        report = run_property(pid, cfg, args.cases)
+        report = run_property(pid, cfg, args.cases, memo)
         _emit(report.to_json_dict())
         all_passed = all_passed and report.passed
     return EXIT_OK if all_passed else EXIT_TIMEOUT

@@ -10,6 +10,14 @@ replayed from (property id, seed, case index) alone.  The outputs are
 computed in blocks (see ``SplitMix64``), which changes what they cost,
 not their values.
 
+Within one ``clockwork check``, the (program, store, fuel) triple that
+P1, P2, P3, P6, P7 and P8 start each case with is drawn once: the
+campaigns share one memo keyed by the stream position the triple is
+drawn from, and a stream at the same position yields the same triple.
+The memo holds the first ``_MEMO_CASES`` triples and goes with the
+``check``; later cases are drawn per property, as a lone campaign draws
+them.  Only inputs are shared: every property runs its evaluators itself.
+
 Generated programs share their leaves: every N and V node comes from
 one module-level table, indexed by the same draws that would have built
 it.  Commands and the other expression nodes are built per occurrence.
@@ -147,36 +155,56 @@ class SplitMix64:
     `state` is the word the stream starts from, and output k (k = 1, 2,
     ...) is mix64(state + k * 0x9E3779B97F4A7C15), the outputs of the
     one-word generator that adds the increment before each output.  They
-    are computed 16 at a time; each draw helper reads exactly one.
+    are computed 16 at a time; each draw helper reads exactly one and
+    adds it to `drawn`, and a draw it refuses reads and counts none.
+
+    So after n draws the stream goes on as the one started at
+    state + n * 0x9E3779B97F4A7C15, the word `position()` returns, and
+    `skip(n)` moves n outputs on without computing them.
     """
 
-    __slots__ = ("state", "_next")
+    __slots__ = ("state", "drawn", "_next")
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
+        self.drawn = 0
         self._next = _outputs(self.state).__next__
 
+    def position(self) -> int:
+        """The word a fresh stream with the same remaining outputs starts from."""
+        return (self.state + self.drawn * _GAMMA) & _MASK
+
+    def skip(self, n: int) -> None:
+        """Move n outputs on, as n draws would."""
+        self.drawn += n
+        self._next = _outputs(self.position()).__next__
+
     def next_u64(self) -> int:
+        self.drawn += 1
         return self._next()
 
     def below(self, n: int) -> int:
         """Uniform-ish draw from [0, n)."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
+        self.drawn += 1
         return self._next() % n
 
     def randint(self, lo: int, hi: int) -> int:
         """Inclusive range draw."""
         if hi < lo:
             raise ValueError(f"randint({lo}, {hi}) needs lo <= hi")
+        self.drawn += 1
         return lo + self._next() % (hi - lo + 1)
 
     def chance(self, p: float) -> bool:
+        self.drawn += 1
         return self._next() < int(p * 18446744073709551616.0)
 
     def choice(self, seq):
         if not seq:
             raise ValueError(f"choice({seq!r}) needs a non-empty sequence")
+        self.drawn += 1
         return seq[self._next() % len(seq)]
 
 
@@ -637,17 +665,35 @@ def _check_rt(inp: dict[str, object]) -> _CheckOutcome:
     return None
 
 
-def _gen_triple(rng: SplitMix64) -> dict[str, object]:
-    return {
-        "program": _gen_com(rng, _MAX_SIZE),
-        "store": _gen_store(rng),
-        "fuel": _gen_fuel(rng),
-    }
+# Triples drawn once per `check`: stream position -> (program, store,
+# fuel, outputs drawn).  At about 0.8 KB a case, a full memo is 1.6 MB.
+_CaseMemo = dict[int, tuple[Com, Store, int, int]]
+_MEMO_CASES = 2048
 
 
-def _gen_case(property_id: str, rng: SplitMix64) -> tuple[dict[str, object], _Checker]:
+def _gen_triple(rng: SplitMix64, memo: Optional[_CaseMemo] = None) -> dict[str, object]:
+    """A fresh (program, store, fuel) dict; with a memo, drawn once per
+    stream position and, when found there, `rng` moved on past it."""
+    if memo is None:
+        return {"program": _gen_com(rng, _MAX_SIZE), "store": _gen_store(rng), "fuel": _gen_fuel(rng)}
+    key = rng.position()
+    entry = memo.get(key)
+    if entry is None:
+        start = rng.drawn
+        c, s, t = _gen_com(rng, _MAX_SIZE), _gen_store(rng), _gen_fuel(rng)
+        entry = (c, s, t, rng.drawn - start)
+        if len(memo) < _MEMO_CASES:
+            memo[key] = entry
+    else:
+        rng.skip(entry[3])
+    return {"program": entry[0], "store": entry[1], "fuel": entry[2]}
+
+
+def _gen_case(
+    property_id: str, rng: SplitMix64, memo: Optional[_CaseMemo] = None
+) -> tuple[dict[str, object], _Checker]:
     if property_id in ("P1", "P2", "P3"):
-        return _gen_triple(rng), {"P1": _check_p1, "P2": _check_p2, "P3": _check_p3}[property_id]
+        return _gen_triple(rng, memo), {"P1": _check_p1, "P2": _check_p2, "P3": _check_p3}[property_id]
     if property_id == "P4":
         return {
             "first": _gen_com(rng, _MAX_SIZE),
@@ -664,13 +710,13 @@ def _gen_case(property_id: str, rng: SplitMix64) -> tuple[dict[str, object], _Ch
             "premise_stores": tuple(_gen_store(rng) for _ in range(_P5_EXTRA_STORES)),
         }, _check_p5
     if property_id == "P6":
-        inp = _gen_triple(rng)
+        inp = _gen_triple(rng, memo)
         inp["extra"] = rng.randint(0, 16)
         return inp, _check_p6
     if property_id == "P7":
-        return _gen_triple(rng), _check_p7
+        return _gen_triple(rng, memo), _check_p7
     if property_id == "P8":
-        inp = _gen_triple(rng)
+        inp = _gen_triple(rng, memo)
         inp["extra"] = rng.randint(1, 8)
         inp["extra2"] = inp["extra"] + rng.randint(1, 8)
         inp["fuels"] = (_gen_fuel(rng), _gen_fuel(rng), _gen_fuel(rng))
@@ -792,12 +838,16 @@ def _render_inputs(inputs: dict[str, object]) -> dict[str, object]:
     return {k: _render_value(v) for k, v in inputs.items()}
 
 
-def run_property(property_id: str, cfg: GenConfig, cases: int) -> PropertyReport:
+def run_property(
+    property_id: str, cfg: GenConfig, cases: int, memo: Optional[_CaseMemo] = None
+) -> PropertyReport:
     """Run one property campaign over `cases` generated inputs.
 
     Case k draws everything it needs from ``case_stream(cfg.seed, k)``,
     so any failure is replayable from (property_id, cfg.seed, k); on
-    failure the inputs are greedily shrunk before reporting.
+    failure the inputs are greedily shrunk before reporting.  Campaigns
+    given the same `memo` (a dict, empty at first) draw each shared
+    (program, store, fuel) triple once; their reports are unchanged.
     """
     if property_id not in PROPERTY_IDS:
         raise ValueError(f"unknown property id: {property_id!r}")
@@ -807,7 +857,7 @@ def run_property(property_id: str, cfg: GenConfig, cases: int) -> PropertyReport
     skipped = 0
     for k in range(cases):
         rng = case_stream(cfg.seed, k)
-        inputs, check = _gen_case(property_id, rng)
+        inputs, check = _gen_case(property_id, rng, memo)
         outcome = check(inputs)
         if outcome is None:
             continue

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 from reference_smallstep import iter_trace
 
-from clockwork import cli
+from clockwork import cli, testkit
 from clockwork.imp import If, Seq, Store, While, pretty
 from clockwork.parser import parse_com
-from clockwork.testkit import PROPERTY_IDS, GenConfig, gen_com, gen_store
+from clockwork.testkit import PROPERTY_IDS, GenConfig, gen_com, gen_store, replay_case
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -300,6 +300,26 @@ def _exit_code(argv):
         return cli.main(argv)
     except SystemExit as e:  # argparse rejects a value before main's handler runs
         return e.code
+
+
+def test_commands_in_one_process_print_what_each_prints_alone(capsys):
+    # main builds its argument parser once per process and reuses it
+    usage_error = ["check", "P1", "--cases", "x"]
+    commands = [
+        usage_error,
+        ["check", "P2", "P3", "--seed", "1", "--cases", "3"],
+        ["run", LOOP, "--sem", "cval", "--fuel", "3"],
+        ["parse", LOOP],
+        ["trace", LOOP, "--cap", "5"],
+        usage_error,
+    ]
+    elapsed = re.compile(rb'"elapsed_ms":[0-9]+')
+    for argv in commands:
+        code = _exit_code(argv)
+        out, err = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "clockwork", *argv], capture_output=True, env=CLI_ENV)
+        got = (code, elapsed.sub(b"", out.encode()), err.encode())
+        assert got == (alone.returncode, elapsed.sub(b"", alone.stdout), alone.stderr), argv
 
 
 _BAD_INT = "invalid literal for int() with base 10"
@@ -608,6 +628,98 @@ def test_check_repeated_id_is_a_usage_error(pids):
     assert p.returncode == 1
     assert p.stdout == ""
     assert p.stderr == f"clockwork: property id {pids[0]!r} given twice\n"
+
+
+def _check_reports(argv, capsys):
+    """Exit code and reports of one in-process `check`, without elapsed_ms."""
+    code = cli.main(["check", *argv])
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for r in reports:
+        del r["elapsed_ms"]
+    return code, reports
+
+
+def _reports_alone(shared, args, capsys):
+    return [_check_reports([r["property"], *args], capsys)[1][0] for r in shared]
+
+
+# The ids of the acceptance gate, reordered, the pair that draws extras
+# after the shared triple, and every property.
+_SHARED_IDS = [
+    ("P1", "P2", "P3", "P4", "P6", "P7", "P8"),
+    ("P8", "P6", "P3", "P1"),
+    ("P6", "P8"),
+    ("--all",),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("ids", _SHARED_IDS, ids=" ".join)
+def test_check_prints_each_report_as_the_property_checked_alone(capsys, seed, ids):
+    args = ["--seed", str(seed), "--cases", "30"]
+    code, shared = _check_reports([*ids, *args], capsys)
+    assert code == 0
+    assert [r["property"] for r in shared] == list(PROPERTY_IDS if ids == ("--all",) else ids)
+    assert shared == _reports_alone(shared, args, capsys)
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("ids", _SHARED_IDS[:3], ids=" ".join)
+def test_failing_shared_campaigns_report_and_replay_as_alone(monkeypatch, capsys, seed, ids):
+    real_cval = testkit.cval
+
+    def bad_cval(c, s, t):
+        r = real_cval(c, s, t)
+        if r is not None and t > 4:
+            return (r[0], t + 1)  # invent extra leftover fuel
+        return r
+
+    monkeypatch.setattr(testkit, "cval", bad_cval)
+    args = ["--seed", str(seed), "--cases", "60"]
+    code, shared = _check_reports([*ids, *args], capsys)
+    assert code == 2
+    assert shared == _reports_alone(shared, args, capsys)
+    failures = [(r["property"], f) for r in shared for f in r["failures"]]
+    assert any(f.get("shrunk") for _, f in failures)
+    for pid, f in failures:
+        assert replay_case(pid, GenConfig(seed=seed), f["case"]) == (f["inputs"], f"fail: expected {f['expected']}; got {f['actual']}")
+
+
+_TRIPLE_IDS = ["P1", "P2", "P3", "P6", "P7", "P8"]
+
+
+def _count_stores(monkeypatch) -> list:
+    """Records each generated store; each (program, store, fuel) triple draws one."""
+    stores = []
+    real = testkit._gen_store
+    monkeypatch.setattr(testkit, "_gen_store", lambda rng: stores.append(real(rng)) or stores[-1])
+    return stores
+
+
+def test_check_draws_each_shared_triple_once(monkeypatch, capsys):
+    stores = _count_stores(monkeypatch)
+    assert _check_reports([*_TRIPLE_IDS, "--seed", "42", "--cases", "50"], capsys)[0] == 0
+    assert len(stores) == 50  # not 6 x 50
+
+
+def test_the_case_memo_holds_at_most_its_cap(monkeypatch, capsys):
+    monkeypatch.setattr(testkit, "_MEMO_CASES", 3)
+    sizes = []
+    real_run_property = cli.run_property
+
+    def run_property(pid, cfg, cases, memo):
+        report = real_run_property(pid, cfg, cases, memo)
+        sizes.append(len(memo))
+        return report
+
+    monkeypatch.setattr(cli, "run_property", run_property)
+    stores = _count_stores(monkeypatch)
+    args = ["--seed", "42", "--cases", "10"]
+    code, shared = _check_reports([*_TRIPLE_IDS, *args], capsys)
+    assert code == 0
+    assert sizes == [3] * 6
+    assert len(stores) == 3 + 6 * 7  # cases past the cap are drawn per property
+    assert shared == _reports_alone(shared, args, capsys)
 
 
 def test_check_seed_env_var():

@@ -96,10 +96,27 @@ _DRAW_SCRIPT = [
 def test_block_stream_equals_the_scalar_reference(seed):
     # 300 draws cross 18 refills of the 16-output blocks
     rng, ref = SplitMix64(seed), reference_splitmix64.SplitMix64(seed)
-    assert rng.state == ref.state
+    assert rng.state == ref.state and rng.drawn == 0
     for i in range(300):
         name, args = _DRAW_SCRIPT[i % len(_DRAW_SCRIPT)]
         assert getattr(rng, name)(*args) == getattr(ref, name)(*args), (i, name, args)
+        assert rng.drawn == i + 1 and rng.position() == ref.state, (i, name, args)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**70 + 5])
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 300])
+def test_a_skipped_stream_equals_the_reference_after_as_many_draws(seed, n):
+    # output k is mix64(state + k * gamma), so n outputs on is the stream
+    # started n increments further; after 5 draws it skips from inside a block
+    for before in (0, 5):
+        rng, ref = SplitMix64(seed), reference_splitmix64.SplitMix64(seed)
+        for _ in range(before):
+            assert rng.next_u64() == ref.next_u64()
+        rng.skip(n)
+        for _ in range(n):
+            ref.next_u64()
+        assert rng.drawn == before + n and rng.position() == ref.state
+        assert [rng.next_u64() for _ in range(40)] == [ref.next_u64() for _ in range(40)]
 
 
 @pytest.mark.parametrize(
@@ -116,7 +133,8 @@ def test_draw_helpers_name_themselves_in_errors(draw, message):
     rng = SplitMix64(1)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         draw(rng)
-    # A refused draw takes no output.
+    # A refused draw takes no output and counts none.
+    assert rng.drawn == 0
     assert rng.next_u64() == SplitMix64(1).next_u64()
 
 
@@ -598,6 +616,16 @@ def test_store_shrinks_are_distinct():
         Store({"x": 1, "y": -1}),
         Store({"x": 1, "y": -1, "z": 2}),
     ]
+
+
+def test_a_shared_memo_gives_each_property_the_inputs_it_draws_alone():
+    # P8 and P6 draw their extras after the triple, from the skipped stream
+    memo = {}
+    for pid in ("P8", "P6", "P1", "P2", "P3", "P7", "P6", "P8"):
+        for k in range(100):
+            shared, _ = _gen_case(pid, case_stream(42, k), memo)
+            assert shared == _gen_case(pid, case_stream(42, k))[0], (pid, k)
+    assert len(memo) == 100
 
 
 def test_failure_records_are_replayable():
