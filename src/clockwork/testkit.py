@@ -666,7 +666,7 @@ def _check_rt(inp: dict[str, object]) -> _CheckOutcome:
 
 
 # Triples drawn once per `check`: stream position -> (program, store,
-# fuel, outputs drawn).  At about 0.8 KB a case, a full memo is 1.6 MB.
+# fuel, outputs drawn).  At about 0.6 KB a case, a full memo is 1.3 MB.
 _CaseMemo = dict[int, tuple[Com, Store, int, int]]
 _MEMO_CASES = 2048
 

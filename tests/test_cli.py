@@ -691,8 +691,13 @@ _TRIPLE_IDS = ["P1", "P2", "P3", "P6", "P7", "P8"]
 def _count_stores(monkeypatch) -> list:
     """Records each generated store; each (program, store, fuel) triple draws one."""
     stores = []
-    real = testkit._gen_store
-    monkeypatch.setattr(testkit, "_gen_store", lambda rng: stores.append(real(rng)) or stores[-1])
+    real_gen_store = testkit._gen_store
+
+    def gen_store(rng):
+        stores.append(real_gen_store(rng))
+        return stores[-1]
+
+    monkeypatch.setattr(testkit, "_gen_store", gen_store)
     return stores
 
 
