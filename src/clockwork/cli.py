@@ -165,7 +165,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     store = _parse_init(args.init)
     sem_key = args.sem.replace("-", "_")
     search, fuel = _parse_fuel(args.fuel)
-    if args.oracle and args.cap < 1:
+    if args.cap < 1:
         _usage("clockwork: --cap must be positive")
     report: dict[str, object] = {"semantics": args.sem, "fuel_in": f"search:{fuel}" if search else fuel}
     result = None

@@ -25,19 +25,17 @@ rebuilds the spine, and the tests hold every walk here to it.
 ``iter_trace`` yields each configuration as its focus, a snapshot of
 its context and its store; ``TraceRenderer`` prints one from those
 without rebuilding the command.  A While unfold builds its If, so the
-trace shows that configuration.
+trace shows that configuration; that is why it is a walk of its own.
 
-``run_oracle_stats`` (and ``run_oracle`` over it) takes each While
-unfold together with the step of the If that the unfold makes, and
-builds neither that If nor its Seq: a true guard pushes the loop and
-focuses its body, which is what decomposing ``Seq c (While b c)`` does,
-and a false guard focuses Skip.  Both steps are counted, and the cap
-can fall between them.
-
-``trace_stores`` walks the same steps the same way and collects the
-stores of the configurations ``iter_trace`` would yield: the initial
-store and the store after each Set step, the only step that changes it.
-It builds no configuration.
+The machine, ``_machine``, takes each While unfold together with the
+step of the If that the unfold makes, and builds neither that If nor
+its Seq: a true guard pushes the loop and focuses its body, which is
+what decomposing ``Seq c (While b c)`` does, and a false guard focuses
+Skip.  Both steps are counted, and the cap can fall between them.  It
+yields the store after each Set step, the only step that changes it,
+and hands back the outcome and the unfold count.  ``run_oracle_stats``
+(and ``run_oracle`` over it) keeps those, and ``trace_stores`` the
+stores; both drain it at C speed, and it never branches on its caller.
 
 The walks read variables from the store's bindings dict, as the clocked
 evaluators do; ``Store.set`` stays their only write.
@@ -45,6 +43,7 @@ evaluators do; ``Store.set`` stays their only write.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterator, Union
 
 from .imp import Com, If, Seq, Set, Skip, Store, While, _check_int, _Frozen, _set, aval, bval, pretty
@@ -144,19 +143,12 @@ def iter_trace(c: Com, s: Store, cap: int) -> Iterator[tuple[Com, tuple[Com, ...
             raise TypeError(f"not a command: {c!r}")
 
 
-def run_oracle(c: Com, s: Store, cap: int) -> OracleOutcome:
-    """The outcome of the trace from ⟨c, s⟩, at most `cap` steps long."""
-    outcome, _ = run_oracle_stats(c, s, cap)
-    return outcome
+def _machine(c: Com, s: Store, cap: int, result: list[tuple[OracleOutcome, int]]) -> Iterator[Store]:
+    """Take at most `cap` steps from ⟨c, s⟩, yielding the store after each
+    Set step, then append (outcome, While unfolds) to `result`.
 
-
-def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
-    """Like run_oracle, also counting uses of the While unfold rule.
-
-    Refocuses (see the module docstring): `ctx` is the evaluation
-    context, the right siblings pending on the left Seq spine.  A While
-    unfold and the step of its If are taken at once, without building
-    either node, and `aval`/`bval` read the store's bindings dict.
+    `ctx` is the evaluation context (see the module docstring), and
+    `aval`/`bval` read the store's bindings dict.
     """
     _check_cap(cap)
     ctx: list[Com] = []  # pending right siblings, innermost last
@@ -169,14 +161,16 @@ def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
             c = c.first
             cls = type(c)
         if cls is Skip and not ctx:
-            return Terminated(s, n), while_steps
+            result.append((Terminated(s, n), while_steps))
+            return
         if n == cap:
-            return StepLimit(cap), while_steps
+            break
         n += 1
         if cls is Skip:  # Seq Skip c2 -> c2
             c = pop()
         elif cls is Set:
             s = s.set(c.var, aval(c.expr, s._m))
+            yield s
             c = _SKIP
         elif cls is If:
             c = c.then_branch if bval(c.guard, s._m) else c.else_branch
@@ -185,7 +179,7 @@ def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
             # without building either node.
             while_steps += 1
             if n == cap:
-                return StepLimit(cap), while_steps
+                break
             n += 1
             if bval(c.guard, s._m):
                 push(c)  # decomposing Seq(body, W)
@@ -194,44 +188,22 @@ def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
                 c = _SKIP
         else:
             raise TypeError(f"not a command: {c!r}")
+    result.append((StepLimit(cap), while_steps))
+
+
+def run_oracle(c: Com, s: Store, cap: int) -> OracleOutcome:
+    """The outcome of the trace from ⟨c, s⟩, at most `cap` steps long."""
+    outcome, _ = run_oracle_stats(c, s, cap)
+    return outcome
+
+
+def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
+    """Like run_oracle, also counting uses of the While unfold rule."""
+    result: list[tuple[OracleOutcome, int]] = []
+    deque(_machine(c, s, cap, result), maxlen=0)
+    return result[0]
 
 
 def trace_stores(c: Com, s: Store, cap: int) -> set[Store]:
-    """The set of stores of the configurations `iter_trace(c, s, cap)` yields.
-
-    Walks them as `run_oracle_stats` does (see the module docstring) and
-    adds a store only at a Set step.
-    """
-    _check_cap(cap)
-    stores = {s}
-    ctx: list[Com] = []  # pending right siblings, innermost last
-    push, pop = ctx.append, ctx.pop
-    n = 0
-    while True:
-        cls = type(c)
-        while cls is Seq:
-            push(c.second)
-            c = c.first
-            cls = type(c)
-        if n >= cap or (cls is Skip and not ctx):
-            return stores
-        n += 1
-        if cls is Skip:
-            c = pop()
-        elif cls is Set:
-            s = s.set(c.var, aval(c.expr, s._m))
-            stores.add(s)
-            c = _SKIP
-        elif cls is If:
-            c = c.then_branch if bval(c.guard, s._m) else c.else_branch
-        elif cls is While:
-            # The unfold and its If's step.  Neither changes the store, so
-            # a cap that falls between them needs no test here.
-            n += 1
-            if bval(c.guard, s._m):
-                push(c)
-                c = c.body
-            else:
-                c = _SKIP
-        else:
-            raise TypeError(f"not a command: {c!r}")
+    """The set of stores of the configurations `iter_trace(c, s, cap)` yields."""
+    return {s, *_machine(c, s, cap, [])}

@@ -150,11 +150,12 @@ def test_run_search_reports_the_least_fuel_not_the_found_one(capsys):
 
 def test_run_rejects_bad_cap_before_evaluating(monkeypatch, capsys):
     calls = _counting(monkeypatch, "cval")
-    assert cli.main(["run", LOOP, "--sem", "cval", "--fuel", "3", "--oracle", "--cap", "0"]) == 1
-    assert calls == []
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "clockwork: --cap must be positive\n"
+    for oracle in (["--oracle"], []):
+        assert cli.main(["run", LOOP, "--sem", "cval", "--fuel", "3", *oracle, "--cap", "0"]) == 1
+        assert calls == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "clockwork: --cap must be positive\n"
 
 
 def test_run_table_of_outcomes_under_every_semantics(capsys):

@@ -223,8 +223,9 @@ def test_run_oracle_stats_equals_iterating_step():
 
 
 def test_run_oracle_stats_makes_the_calls_of_iterating_step(monkeypatch):
-    # Both evaluate through their module's aval/bval and Store.set, as
-    # looked up at each call, so a patch of any of them sees every call.
+    # The machine (behind run_oracle_stats and trace_stores) and the reference
+    # evaluate through their module's aval/bval and Store.set, as looked up
+    # at each call, so a patch of any of them sees every call.
     cases = _differential_cases()[::10]
     calls = []
     aval, bval, store_set = smallstep.aval, smallstep.bval, Store.set
@@ -240,16 +241,17 @@ def test_run_oracle_stats_makes_the_calls_of_iterating_step(monkeypatch):
         monkeypatch.setattr(module, "aval", counted("aval", aval))
         monkeypatch.setattr(module, "bval", counted("bval", bval))
     monkeypatch.setattr(Store, "set", counted("set", store_set))
-    total = 0
-    for c, s, cap in cases:
-        run_oracle_stats(c, s, cap)
-        got = calls[:]
-        calls.clear()
-        _reference(c, s, cap)
-        assert got == calls, (pretty(c), s, cap)
-        total += len(calls)
-        calls.clear()
-    assert total > 10_000
+    for run in (run_oracle_stats, trace_stores):
+        total = 0
+        for c, s, cap in cases:
+            run(c, s, cap)
+            got = calls[:]
+            calls.clear()
+            _reference(c, s, cap)
+            assert got == calls, (pretty(c), s, cap)
+            total += len(calls)
+            calls.clear()
+        assert total > 10_000
 
 
 def test_iter_trace_equals_the_reference_trace():
@@ -325,6 +327,7 @@ def test_run_oracle_stats_unfolds_while_without_building_nodes():
     results = []
     assert _node_inits(lambda: results.append(run_oracle_stats(c, S0, 10_000))) == 0
     assert results == [(Terminated(Store({"x": 1000}), 4004), 1001)]
+    assert _node_inits(lambda: trace_stores(c, S0, 10_000)) == 0
     # The counter sees the nodes the reference builds on the same program.
     assert _node_inits(lambda: sum(1 for _ in reference_smallstep.iter_trace(c, S0, 10_000))) > 0
 
@@ -339,15 +342,17 @@ def test_left_nested_program_runs_in_linear_time():
 
     left, right = _chains([leaf(i) for i in range(20_000)])
     results, best = {}, {}
-    for name, c in (("left", left), ("right", right)) * 3:
-        t0 = time.perf_counter()
-        results[name] = run_oracle_stats(c, S0, 1_000_000)
-        best[name] = min(best.get(name, float("inf")), time.perf_counter() - t0)
-    assert results["left"] == results["right"]
-    outcome, while_steps = results["left"]
+    for run in (run_oracle_stats, trace_stores):
+        for name, c in (("left", left), ("right", right)) * 3:
+            t0 = time.perf_counter()
+            results[run, name] = run(c, S0, 1_000_000)
+            best[run, name] = min(best.get((run, name), float("inf")), time.perf_counter() - t0)
+        assert results[run, "left"] == results[run, "right"]
+        assert best[run, "left"] < 2 * best[run, "right"]
+    outcome, while_steps = results[run_oracle_stats, "left"]
     assert outcome.store == Store({"x": sum(range(20_000)) - sum(range(0, 20_000, 1000)), "y": 19})
     assert while_steps == 20 + 19  # one false unfold per loop, one true unfold per loop but the first
-    assert best["left"] < 2 * best["right"]
+    assert outcome.store in results[trace_stores, "left"]
 
 
 def test_oracle_agrees_with_clocked_semantics_on_worked_loop():
