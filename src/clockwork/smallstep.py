@@ -143,14 +143,17 @@ def iter_trace(c: Com, s: Store, cap: int) -> Iterator[tuple[Com, tuple[Com, ...
             raise TypeError(f"not a command: {c!r}")
 
 
-def _machine(c: Com, s: Store, cap: int, result: list[tuple[OracleOutcome, int]]) -> Iterator[Store]:
-    """Take at most `cap` steps from ⟨c, s⟩, yielding the store after each
-    Set step, then append (outcome, While unfolds) to `result`.
+def _machine(c: Com, s: Store, cap: int, result: list[tuple[OracleOutcome, int]]) -> Iterator[dict[str, int]]:
+    """Take at most `cap` steps from ⟨c, s⟩, yielding the bindings after
+    each Set step, then append (outcome, While unfolds) to `result`.
 
-    `ctx` is the evaluation context (see the module docstring), and
-    `aval`/`bval` read the store's bindings dict.
+    The bindings are one private copy of `s`'s, updated in place and kept
+    in the store's normal form (no zero binding): a consumer that keeps
+    them must copy them before it resumes the machine.  `ctx` is the
+    evaluation context (see the module docstring).
     """
     _check_cap(cap)
+    m = s._m.copy()
     ctx: list[Com] = []  # pending right siblings, innermost last
     push, pop = ctx.append, ctx.pop
     n = while_steps = 0
@@ -161,7 +164,7 @@ def _machine(c: Com, s: Store, cap: int, result: list[tuple[OracleOutcome, int]]
             c = c.first
             cls = type(c)
         if cls is Skip and not ctx:
-            result.append((Terminated(s, n), while_steps))
+            result.append((Terminated(Store._wrap(m), n), while_steps))
             return
         if n == cap:
             break
@@ -169,11 +172,15 @@ def _machine(c: Com, s: Store, cap: int, result: list[tuple[OracleOutcome, int]]
         if cls is Skip:  # Seq Skip c2 -> c2
             c = pop()
         elif cls is Set:
-            s = s.set(c.var, aval(c.expr, s._m))
-            yield s
+            value = aval(c.expr, m)
+            if value:
+                m[c.var] = value
+            else:
+                m.pop(c.var, None)
+            yield m
             c = _SKIP
         elif cls is If:
-            c = c.then_branch if bval(c.guard, s._m) else c.else_branch
+            c = c.then_branch if bval(c.guard, m) else c.else_branch
         elif cls is While:
             # The unfold to If(g, Seq(body, W), SKIP) and that If's step,
             # without building either node.
@@ -181,7 +188,7 @@ def _machine(c: Com, s: Store, cap: int, result: list[tuple[OracleOutcome, int]]
             if n == cap:
                 break
             n += 1
-            if bval(c.guard, s._m):
+            if bval(c.guard, m):
                 push(c)  # decomposing Seq(body, W)
                 c = c.body
             else:
@@ -206,4 +213,7 @@ def run_oracle_stats(c: Com, s: Store, cap: int) -> tuple[OracleOutcome, int]:
 
 def trace_stores(c: Com, s: Store, cap: int) -> set[Store]:
     """The set of stores of the configurations `iter_trace(c, s, cap)` yields."""
-    return {s, *_machine(c, s, cap, [])}
+    # Each yield is frozen before the machine resumes; each distinct one is
+    # then wrapped once.
+    distinct = set(map(frozenset, map(dict.items, _machine(c, s, cap, []))))
+    return {s, *map(Store._wrap, map(dict, distinct))}

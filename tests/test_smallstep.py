@@ -224,11 +224,14 @@ def test_run_oracle_stats_equals_iterating_step():
 
 def test_run_oracle_stats_makes_the_calls_of_iterating_step(monkeypatch):
     # The machine (behind run_oracle_stats and trace_stores) and the reference
-    # evaluate through their module's aval/bval and Store.set, as looked up
-    # at each call, so a patch of any of them sees every call.
+    # evaluate through their module's aval/bval, as looked up at each call, so
+    # a patch of either sees every call.  The machine writes its own bindings
+    # where the reference calls Store.set: each Set step's write, the bindings
+    # the machine yields copied at the yield or the store Store.set returns,
+    # is recorded in the same sequence as the calls.
     cases = _differential_cases()[::10]
     calls = []
-    aval, bval, store_set = smallstep.aval, smallstep.bval, Store.set
+    aval, bval, store_set, machine = smallstep.aval, smallstep.bval, Store.set, smallstep._machine
 
     def counted(name, fn):
         def wrapper(*args):
@@ -237,12 +240,23 @@ def test_run_oracle_stats_makes_the_calls_of_iterating_step(monkeypatch):
 
         return wrapper
 
+    def recorded_set(store, name, value):
+        new = store_set(store, name, value)
+        calls.append(("write", new._m))
+        return new
+
+    def recorded_machine(*args):
+        for m in machine(*args):
+            calls.append(("write", m.copy()))
+            yield m
+
     for module in (smallstep, reference_smallstep):
         monkeypatch.setattr(module, "aval", counted("aval", aval))
         monkeypatch.setattr(module, "bval", counted("bval", bval))
-    monkeypatch.setattr(Store, "set", counted("set", store_set))
+    monkeypatch.setattr(Store, "set", recorded_set)
+    monkeypatch.setattr(smallstep, "_machine", recorded_machine)
     for run in (run_oracle_stats, trace_stores):
-        total = 0
+        total = writes = 0
         for c, s, cap in cases:
             run(c, s, cap)
             got = calls[:]
@@ -250,8 +264,10 @@ def test_run_oracle_stats_makes_the_calls_of_iterating_step(monkeypatch):
             _reference(c, s, cap)
             assert got == calls, (pretty(c), s, cap)
             total += len(calls)
+            writes += sum(type(call) is tuple for call in calls)
             calls.clear()
         assert total > 10_000
+        assert writes > 1000
 
 
 def test_iter_trace_equals_the_reference_trace():
@@ -301,6 +317,37 @@ def test_trace_stores_equals_the_stores_of_iter_trace_at_every_cap(text):
     steps = outcome.steps if type(outcome) is Terminated else 60  # WHILE true DO SKIP OD
     for cap in range(1, steps + 2):
         assert trace_stores(c, S0, cap) == {cfg.store for cfg in reference_smallstep.iter_trace(c, S0, cap)}, cap
+
+
+ZERO_THEN_REASSIGN = [
+    ("x := 0 ; x := 5", {"x": 3}),
+    ("x := 0 ; y := x ; x := y + 2", {"x": 3, "y": 1}),
+    ("WHILE 0 < x DO x := x + -1 ; y := y + 1 OD ; x := y ; y := 0", {"x": 3}),
+    ("y := 0 ; WHILE x < 2 DO x := x + 1 ; y := 0 ; y := x OD ; x := 0", {"x": -1, "y": 7, "z": 2}),
+]
+
+
+@pytest.mark.parametrize("text, bindings", ZERO_THEN_REASSIGN)
+def test_the_oracle_never_writes_its_callers_store_and_keeps_the_normal_form(text, bindings):
+    # Each program assigns 0 to a bound name and then assigns to it again.
+    c = parse_com(text)
+    outcome, _ = _reference(c, Store(bindings), REF_CAP)
+    for cap in range(1, outcome.steps + 2):
+        s = Store(bindings)
+        before = s._m.copy()
+        want_outcome, _ = _reference(c, s, cap)
+        want_stores = {cfg.store for cfg in reference_smallstep.iter_trace(c, s, cap)}
+        runs = [run_oracle(c, s, cap), run_oracle_stats(c, s, cap)[0], trace_stores(c, s, cap)]
+        assert s._m == before, cap
+        assert runs[:2] == [want_outcome, want_outcome], cap
+        stores = [*runs[2], *(r.store for r in runs[:2] if type(r) is Terminated)]
+        assert all(0 not in store._m.values() for store in stores), cap
+        assert runs[2] == want_stores, cap
+        # A second run on the same inputs leaves the first run's stores as
+        # they were (rehashed, so a store whose bindings moved is caught).
+        assert [run_oracle(c, s, cap), trace_stores(c, s, cap)] == [want_outcome, want_stores], cap
+        assert runs[:2] == [want_outcome, want_outcome] and set(runs[2]) == want_stores, cap
+        assert s._m == before, cap
 
 
 def _node_inits(run) -> int:
