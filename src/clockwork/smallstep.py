@@ -32,13 +32,17 @@ step of the If that the unfold makes, and builds neither that If nor
 its Seq: a true guard pushes the loop and focuses its body, which is
 what decomposing ``Seq c (While b c)`` does, and a false guard focuses
 Skip.  Both steps are counted, and the cap can fall between them.  It
-yields the store after each Set step, the only step that changes it,
-and hands back the outcome and the unfold count.  ``run_oracle_stats``
-(and ``run_oracle`` over it) keeps those, and ``trace_stores`` the
-stores; both drain it at C speed, and it never branches on its caller.
+writes one private copy of the argument store's bindings in place, in
+the store's normal form (a zero value pops the name), yields that live
+dict after each Set step, the only step that changes it, and hands back
+the outcome, whose store wraps the dict once, and the unfold count.
+``run_oracle_stats`` (and ``run_oracle`` over it) keeps those, and
+``trace_stores`` a copy of each distinct yield; both drain it at C
+speed, and it never branches on its caller.
 
-The walks read variables from the store's bindings dict, as the clocked
-evaluators do; ``Store.set`` stays their only write.
+The walks read variables from a bindings dict, as the clocked
+evaluators do.  The machine writes its own dict; ``iter_trace`` writes
+through ``Store.set``, because it yields a store per configuration.
 """
 
 from __future__ import annotations
