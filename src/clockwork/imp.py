@@ -13,7 +13,7 @@ to integers with a default of 0.
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 
 KEYWORDS = frozenset({"SKIP", "IF", "THEN", "ELSE", "FI", "WHILE", "DO", "OD", "true", "false"})
@@ -36,14 +36,14 @@ def _is_int(value: object) -> bool:
 # --------------------------------------------------------------------------
 # Immutable values
 
-_set = object.__setattr__  # how an __init__ fills a slot past the raising __setattr__
-
-
 class _Frozen:
     """Base of the syntax nodes and of the result and report records.
 
     A subclass lists its fields, in constructor order, as
-    ``__slots__ = __match_args__`` and fills them in its own ``__init__``.
+    ``__slots__ = __match_args__`` and fills them in its own ``__init__``
+    through ``_setters``: the ``__set__`` of each field's slot descriptor,
+    in field order, which ``__init_subclass__`` looks up once per class.
+    They write the slot directly, past the raising ``__setattr__``.
     Instances cannot be changed.  ``==`` is structural and type-sensitive,
     ``hash`` agrees with it, and ``repr`` reads like a call of the
     constructor with keyword arguments.  ``==``, ``repr`` and the one
@@ -57,6 +57,11 @@ class _Frozen:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _setters: tuple[Callable[[_Frozen, object], None], ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
@@ -175,7 +180,8 @@ class N(_Frozen):
     def __init__(self, value: int) -> None:
         if not _is_int(value):
             raise ValueError(f"integer literal must be an int: {value!r}")
-        _set(self, "value", value)
+        (set_value,) = self._setters
+        set_value(self, value)
 
 
 class V(_Frozen):
@@ -186,7 +192,8 @@ class V(_Frozen):
 
     def __init__(self, name: str) -> None:
         _check_name(name)
-        _set(self, "name", name)
+        (set_name,) = self._setters
+        set_name(self, name)
 
 
 class Plus(_Frozen):
@@ -194,8 +201,9 @@ class Plus(_Frozen):
     __slots__ = __match_args__
 
     def __init__(self, left: Aexp, right: Aexp) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
+        set_left, set_right = self._setters
+        set_left(self, left)
+        set_right(self, right)
 
 
 Aexp = Union[N, V, Plus]
@@ -214,7 +222,8 @@ class Bc(_Frozen):
     def __init__(self, value: bool) -> None:
         if not isinstance(value, bool):
             raise ValueError(f"boolean constant must be a bool: {value!r}")
-        _set(self, "value", value)
+        (set_value,) = self._setters
+        set_value(self, value)
 
 
 class Not(_Frozen):
@@ -222,7 +231,8 @@ class Not(_Frozen):
     __slots__ = __match_args__
 
     def __init__(self, arg: Bexp) -> None:
-        _set(self, "arg", arg)
+        (set_arg,) = self._setters
+        set_arg(self, arg)
 
 
 class And(_Frozen):
@@ -230,8 +240,9 @@ class And(_Frozen):
     __slots__ = __match_args__
 
     def __init__(self, left: Bexp, right: Bexp) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
+        set_left, set_right = self._setters
+        set_left(self, left)
+        set_right(self, right)
 
 
 class Less(_Frozen):
@@ -239,8 +250,9 @@ class Less(_Frozen):
     __slots__ = __match_args__
 
     def __init__(self, left: Aexp, right: Aexp) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
+        set_left, set_right = self._setters
+        set_left(self, left)
+        set_right(self, right)
 
 
 Bexp = Union[Bc, Not, And, Less]
@@ -263,8 +275,9 @@ class Set(_Frozen):
 
     def __init__(self, var: str, expr: Aexp) -> None:
         _check_name(var)
-        _set(self, "var", var)
-        _set(self, "expr", expr)
+        set_var, set_expr = self._setters
+        set_var(self, var)
+        set_expr(self, expr)
 
 
 class Seq(_Frozen):
@@ -272,8 +285,9 @@ class Seq(_Frozen):
     __slots__ = __match_args__
 
     def __init__(self, first: Com, second: Com) -> None:
-        _set(self, "first", first)
-        _set(self, "second", second)
+        set_first, set_second = self._setters
+        set_first(self, first)
+        set_second(self, second)
 
 
 class If(_Frozen):
@@ -281,9 +295,10 @@ class If(_Frozen):
     __slots__ = __match_args__
 
     def __init__(self, guard: Bexp, then_branch: Com, else_branch: Com) -> None:
-        _set(self, "guard", guard)
-        _set(self, "then_branch", then_branch)
-        _set(self, "else_branch", else_branch)
+        set_guard, set_then_branch, set_else_branch = self._setters
+        set_guard(self, guard)
+        set_then_branch(self, then_branch)
+        set_else_branch(self, else_branch)
 
 
 class While(_Frozen):
@@ -291,8 +306,9 @@ class While(_Frozen):
     __slots__ = __match_args__
 
     def __init__(self, guard: Bexp, body: Com) -> None:
-        _set(self, "guard", guard)
-        _set(self, "body", body)
+        set_guard, set_body = self._setters
+        set_guard(self, guard)
+        set_body(self, body)
 
 
 Com = Union[Skip, Set, Seq, If, While]

@@ -23,12 +23,20 @@ comments run from '--' to end of line.  Whitespace (space, tab, '\\r',
 '\\n') between tokens is insignificant.  Any other character, a non-ASCII
 letter or digit included, is a lexical error.
 
+The lexer replaces comments with spaces and splits the text at
+whitespace, and matches each distinct chunk of the split once with the
+token pattern, so a token text matches once however often it recurs.
+The regex scan over the whole text (`_LEX`) only locates errors: the
+first character that starts no token, and the offset of the token that a
+syntax error names.
+
 The parser is one loop over the token texts, with no recursion, so input
 of any nesting depth that fits in memory parses.  Each step either reads
 the start of an atom, a bconj or a term, or hands a finished phrase to
 the frame on top of an explicit stack: a phrase waiting for its next part.
 Within one parse every N and V leaf is built once per distinct token text
-and shared.  Four fixed runs of tokens are read in one step, when each
+and shared; SKIP, true and false are one node each, which every parse
+shares.  Four fixed runs of tokens are read in one step, when each
 leaf in them has been read before in the same parse: `x := leaf` and
 `x := leaf + leaf` not followed by '+', a bconj `leaf < leaf` not
 followed by '+', and an IF or WHILE with its guard `leaf < leaf`
@@ -69,11 +77,14 @@ from .imp import KEYWORDS, Aexp, And, Bc, Bexp, Com, If, Less, N, Not, Plus, Seq
 # the end of the input it is empty.  The alternatives cannot all fail, so a
 # match never backtracks into the whitespace, and each match starts where
 # the previous one ended: findall skips no character.  The classes are
-# ASCII-only.
-_TOKEN = r"[;+<!()]|:=|[A-Za-z][A-Za-z0-9_]*|-?[0-9]+|&&"
-_LEX = re.compile(r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*(" + _TOKEN + r"|[\s\S]+|\Z)")
-_IS_TOKEN = re.compile(_TOKEN).match
+# ASCII-only.  `_lex` does not run this scan on valid input; it locates
+# lexical errors, and `_token_offset` syntax errors.
+_TOKEN = re.compile(r"[;+<!()]|:=|[A-Za-z][A-Za-z0-9_]*|-?[0-9]+|&&")
+_LEX = re.compile(r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*(" + _TOKEN.pattern + r"|[\s\S]+|\Z)")
+_COMMENT = re.compile(r"--[^\n]*")
 _INT_START = frozenset("-0123456789")
+# The leaves that never vary, built once: every parse shares them.
+_SKIP, _TRUE, _FALSE = Skip(), Bc(True), Bc(False)
 
 # What the loop reads next: the start of an atom, a bconj or a term.
 _ATOM, _BCONJ, _TERM = range(3)
@@ -117,16 +128,39 @@ def _error_at(text: str, offset: int, message: str, expected: tuple[str, ...] = 
 
 
 def _lex(text: str) -> list[str]:
-    """The token texts of `text`, ending with "" for end of input.
+    """The token texts of `text`, ending with exactly one "" for end of input.
 
-    Raises ParseError at the first character that starts no token.
+    Comments become spaces.  If the rest is ASCII and holds no whitespace
+    but the grammar's four characters, it is split at whitespace, with '('
+    and ')' spaced out, and the distinct chunks are matched with `_TOKEN`
+    in one pass, spaced apart.  When every chunk is one token, the chunks
+    are the tokens; when the matches cover the chunks exactly but some
+    chunk, such as `x:=1;`, is several tokens, each chunk is replaced by
+    its tokens.  Otherwise a character outside every comment starts no
+    token, and the `_LEX` scan raises ParseError at the first one.
+
+    One "" is enough: the parser reads a token past position i only when
+    token i is not "", and it moves past no "".
     """
-    tokens = _LEX.findall(text)
-    # Only the last match before the end can hold the rest of the input.
-    if len(tokens) > 1 and tokens[-2] and not _IS_TOKEN(tokens[-2]):
-        rest = tokens[-2]
-        raise _error_at(text, len(text) - len(rest), f"unexpected character {rest[0]!r}")
-    return tokens
+    clean = _COMMENT.sub(" ", text) if "--" in text else text
+    # str.split also splits at these ASCII characters, and at non-ASCII whitespace.
+    odd = "\x0b" in clean or "\x0c" in clean or "\x1c" in clean or "\x1d" in clean or "\x1e" in clean or "\x1f" in clean
+    if clean.isascii() and not odd:
+        chunks = clean.replace("(", " ( ").replace(")", " ) ").split()
+        # One match over the distinct chunks, spaced apart: its tokens
+        # cover them exactly when each chunk is a run of tokens.
+        distinct = set(chunks)
+        spaced = " ".join(distinct)
+        tokens = _TOKEN.findall(spaced)
+        if "".join(tokens) == spaced.replace(" ", ""):
+            if len(tokens) > len(distinct):  # some chunk, such as `x:=1;`, is several tokens
+                runs = {chunk: _TOKEN.findall(chunk) for chunk in distinct}
+                chunks = [tok for chunk in chunks for tok in runs[chunk]]
+            chunks.append("")
+            return chunks
+    # Only the last match before the end holds the rest of the input.
+    rest = _LEX.findall(text)[-2]
+    raise _error_at(text, len(text) - len(rest), f"unexpected character {rest[0]!r}")
 
 
 def _token_offset(text: str, index: int) -> int:
@@ -196,7 +230,7 @@ def _read(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
                     want = _TERM
                     continue
             elif tok == "SKIP":
-                val = Skip()
+                val = _SKIP
                 pos += 1
             elif tok == "IF" or tok == "WHILE":
                 keys, build = (_IF_KEYS, If) if tok == "IF" else (_WHILE_KEYS, While)
@@ -250,7 +284,7 @@ def _read(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
                 pos += 1
                 continue
             elif tok == "true" or tok == "false":
-                val = Bc(tok == "true")
+                val = _TRUE if tok == "true" else _FALSE
                 pos += 1
             elif tok == "(":
                 stack.append((_OPEN,))

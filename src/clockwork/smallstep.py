@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Union
 
-from .imp import Com, If, Seq, Set, Skip, Store, While, _check_int, _Frozen, _set, aval, bval, pretty
+from .imp import Com, If, Seq, Set, Skip, Store, While, _check_int, _Frozen, aval, bval, pretty
 
 _SKIP = Skip()
 
@@ -91,8 +91,9 @@ class Terminated(_Frozen):
     __slots__ = __match_args__
 
     def __init__(self, store: Store, steps: int) -> None:
-        _set(self, "store", store)
-        _set(self, "steps", steps)
+        set_store, set_steps = self._setters
+        set_store(self, store)
+        set_steps(self, steps)
 
 
 class StepLimit(_Frozen):
@@ -100,7 +101,8 @@ class StepLimit(_Frozen):
     __slots__ = __match_args__
 
     def __init__(self, cap: int) -> None:
-        _set(self, "cap", cap)
+        (set_cap,) = self._setters
+        set_cap(self, cap)
 
 
 OracleOutcome = Union[Terminated, StepLimit]

@@ -72,7 +72,6 @@ from .imp import (
     While,
     _check_int,
     _Frozen,
-    _set,
     pretty,
     size,
 )
@@ -225,7 +224,8 @@ class GenConfig(_Frozen):
 
     def __init__(self, seed: int) -> None:
         _check_int(seed, "seed")
-        _set(self, "seed", seed)
+        (set_seed,) = self._setters
+        set_seed(self, seed)
 
 
 # The shared leaves: _NUMS[rng.below(9)] is N(rng.randint(_LO, _HI)) and
@@ -377,12 +377,13 @@ class Failure(_Frozen):
         actual: str,
         shrunk: Optional[dict[str, object]] = None,
     ) -> None:
-        _set(self, "case_index", case_index)
-        _set(self, "seed", seed)
-        _set(self, "inputs", inputs)
-        _set(self, "expected", expected)
-        _set(self, "actual", actual)
-        _set(self, "shrunk", shrunk)
+        set_case_index, set_seed, set_inputs, set_expected, set_actual, set_shrunk = self._setters
+        set_case_index(self, case_index)
+        set_seed(self, seed)
+        set_inputs(self, inputs)
+        set_expected(self, expected)
+        set_actual(self, actual)
+        set_shrunk(self, shrunk)
 
     def to_json_dict(self) -> dict[str, object]:
         d: dict[str, object] = {
@@ -410,12 +411,13 @@ class PropertyReport(_Frozen):
         skipped: int = 0,
         details: Optional[dict[str, object]] = None,
     ) -> None:
-        _set(self, "property_id", property_id)
-        _set(self, "cases_run", cases_run)
-        _set(self, "failures", failures)
-        _set(self, "elapsed_ms", elapsed_ms)
-        _set(self, "skipped", skipped)
-        _set(self, "details", {} if details is None else details)
+        set_property_id, set_cases_run, set_failures, set_elapsed_ms, set_skipped, set_details = self._setters
+        set_property_id(self, property_id)
+        set_cases_run(self, cases_run)
+        set_failures(self, failures)
+        set_elapsed_ms(self, elapsed_ms)
+        set_skipped(self, skipped)
+        set_details(self, {} if details is None else details)
 
     @property
     def passed(self) -> bool:

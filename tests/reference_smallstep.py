@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from clockwork.imp import Com, If, Seq, Set, Skip, Store, While, _Frozen, _set, aval, bval, pretty
+from clockwork.imp import Com, If, Seq, Set, Skip, Store, While, _Frozen, aval, bval, pretty
 from clockwork.smallstep import _check_cap
 
 _SKIP = Skip()
@@ -27,8 +27,9 @@ class Config(_Frozen):
     __slots__ = __match_args__
 
     def __init__(self, com: Com, store: Store) -> None:
-        _set(self, "com", com)
-        _set(self, "store", store)
+        set_com, set_store = self._setters
+        set_com(self, com)
+        set_store(self, store)
 
     def is_terminal(self) -> bool:
         return type(self.com) is Skip

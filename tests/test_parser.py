@@ -411,3 +411,23 @@ def test_roundtrip_survives_random_whitespace():
         tokens = pretty(c).split(" ")
         text = ws[rng.below(len(ws))].join(tokens) if tokens else ""
         assert parse_com(text) == c
+
+
+def test_skip_true_and_false_are_one_object_each():
+    text = "SKIP ; IF true THEN SKIP ELSE WHILE false && ! true DO SKIP OD FI ; (SKIP ; SKIP)"
+    ids = {}  # repr of each SKIP, true and false leaf -> the ids of its objects
+    todo = [parse_com(text), parse_com(text), parse_bexp("true && false")]
+    while todo:
+        node = todo.pop()
+        if type(node) in (Skip, Bc):
+            ids.setdefault(repr(node), set()).add(id(node))
+        todo.extend(v for v in (getattr(node, name) for name in node.__match_args__) if type(v) not in (str, int, bool))
+    assert {leaf: len(objects) for leaf, objects in ids.items()} == {"Skip()": 1, "Bc(value=True)": 1, "Bc(value=False)": 1}
+
+
+def test_shared_leaves_keep_round_trips_equal_and_hashes_equal():
+    # The generator builds a new Skip and Bc per occurrence, the parser shares one.
+    for seed in range(300):
+        c = gen_com(GenConfig(seed=seed), 12)
+        parsed = parse_com(pretty(c))
+        assert parsed == c and hash(parsed) == hash(c) and repr(parsed) == repr(c)

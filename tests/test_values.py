@@ -130,6 +130,50 @@ def test_other_attributes_cannot_be_set_either():
             del value.other
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_class_on_the_base_has_an_example():
+    assert set(_subclasses(_Frozen)) == {type(value) for value in VALUES}
+
+
+@pytest.mark.parametrize("value,fields", EXAMPLES, ids=IDS)
+def test_constructors_fill_slots_through_their_descriptors(value, fields):
+    cls = type(value)
+    assert [setter.__self__ for setter in cls._setters] == [cls.__dict__[name] for name in fields]
+    with pytest.raises(TypeError):
+        cls(*[getattr(value, name) for name in fields], None)
+
+
+# (constructor, arguments, the ValueError's message)
+BAD_ARGUMENTS = [
+    (N, (True,), "integer literal must be an int: True"),
+    (N, (1.0,), "integer literal must be an int: 1.0"),
+    (N, ("1",), "integer literal must be an int: '1'"),
+    (V, ("1x",), "invalid variable name: '1x'"),
+    (V, ("_x",), "invalid variable name: '_x'"),
+    (V, ("é",), "invalid variable name: 'é'"),
+    (V, (3,), "invalid variable name: 3"),
+    (V, ("WHILE",), "variable name is a keyword: 'WHILE'"),
+    (Bc, (1,), "boolean constant must be a bool: 1"),
+    (Bc, (None,), "boolean constant must be a bool: None"),
+    (Set, ("x y", N(1)), "invalid variable name: 'x y'"),
+    (Set, ("true", N(1)), "variable name is a keyword: 'true'"),
+    (GenConfig, (True,), "seed must be an integer, got True"),
+    (GenConfig, ("42",), "seed must be an integer, got '42'"),
+]
+
+
+@pytest.mark.parametrize("cls,args,message", BAD_ARGUMENTS, ids=[f"{cls.__name__}{args!r}" for cls, args, _ in BAD_ARGUMENTS])
+def test_constructors_reject_bad_arguments(cls, args, message):
+    with pytest.raises(ValueError) as exc:
+        cls(*args)
+    assert str(exc.value) == message
+
+
 # --------------------------------------------------------------------------
 # Trees far deeper than the recursion limit
 
