@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from clockwork import parser
-from clockwork.imp import Seq, Set, Skip, pretty, pretty_aexp, pretty_bexp
+from clockwork.imp import If, Seq, Set, While, pretty, pretty_aexp, pretty_bexp
 from clockwork.parser import ParseError, parse_aexp, parse_bexp, parse_com
 from clockwork.testkit import GenConfig, gen_com
 
@@ -155,10 +155,14 @@ def _phrases():
         c = todo.pop()
         if type(c) is Set:
             exprs.append(pretty_aexp(c.expr))
-        elif type(c) is not Skip:
-            if type(c) is not Seq:
-                guards.append(pretty_bexp(c.guard))
-            todo.extend(getattr(c, name) for name in c.__match_args__[type(c) is not Seq :])
+        elif type(c) is Seq:
+            todo += [c.first, c.second]
+        elif type(c) is If:
+            guards.append(pretty_bexp(c.guard))
+            todo += [c.then_branch, c.else_branch]
+        elif type(c) is While:
+            guards.append(pretty_bexp(c.guard))
+            todo.append(c.body)
     return [(parse_com, programs), (parse_aexp, HAND + exprs), (parse_bexp, HAND + guards)]
 
 

@@ -18,6 +18,7 @@ from clockwork.imp import (
     Skip,
     V,
     While,
+    _Frozen,
     pretty,
 )
 from clockwork import parser
@@ -421,7 +422,10 @@ def test_skip_true_and_false_are_one_object_each():
         node = todo.pop()
         if type(node) in (Skip, Bc):
             ids.setdefault(repr(node), set()).add(id(node))
-        todo.extend(v for v in (getattr(node, name) for name in node.__match_args__) if type(v) not in (str, int, bool))
+        for name in node.__match_args__:
+            value = getattr(node, name)
+            if isinstance(value, _Frozen):
+                todo.append(value)
     assert {leaf: len(objects) for leaf, objects in ids.items()} == {"Skip()": 1, "Bc(value=True)": 1, "Bc(value=False)": 1}
 
 
