@@ -33,6 +33,7 @@ from .testkit import (
     ORACLE_CAP,
     PROPERTY_IDS,
     SEMANTICS,
+    Campaigns,
     GenConfig,
     fuel_search,
     run_property,
@@ -239,12 +240,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         except ValueError:
             _usage("clockwork: CLOCKWORK_SEED must be an integer")
     cfg = GenConfig(seed=seed)
-    memo: dict = {}  # the campaigns share each case's drawn inputs, never results
     all_passed = True
-    for pid in ids:
-        report = run_property(pid, cfg, args.cases, memo)
-        _emit(report.to_json_dict())
-        all_passed = all_passed and report.passed
+    # One process per CPU, each with one memo: a worker draws each of its
+    # cases' inputs once for all the campaigns, which never share results.
+    with Campaigns(ids, cfg, args.cases) as campaigns:
+        for pid in ids:
+            report = run_property(pid, cfg, args.cases, campaigns)
+            _emit(report.to_json_dict())
+            all_passed = all_passed and report.passed
     return EXIT_OK if all_passed else EXIT_TIMEOUT
 
 

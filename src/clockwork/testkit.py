@@ -10,11 +10,17 @@ replayed from (property id, seed, case index) alone.  The outputs are
 computed in blocks (see ``SplitMix64``), which changes what they cost,
 not their values.
 
-Within one ``clockwork check``, the (program, store, fuel) triple that
-P1, P2, P3, P6, P7 and P8 start each case with is drawn once: the
-campaigns share one memo keyed by the stream position the triple is
-drawn from, and a stream at the same position yields the same triple.
-The memo holds the first ``_MEMO_CASES`` triples and goes with the
+One ``clockwork check`` runs on W processes (see ``Campaigns``), W
+being the number of CPUs the process may run on, at most the case
+count.  Case k of every property in the check runs on worker k mod W,
+and worker 0 is the calling process.  Since every case draws from its
+own stream, the reports do not depend on W.
+
+Each worker keeps one memo for the whole check, so it draws once the
+(program, store, fuel) triple that P1, P2, P3, P6, P7 and P8 start each
+of its cases with.  The memo is keyed by the stream position the triple
+is drawn from, and a stream at the same position yields the same triple.
+It holds the worker's first ``_MEMO_CASES`` triples and goes with the
 ``check``; later cases are drawn per property, as a lone campaign draws
 them.  Only inputs are shared: every property runs its evaluators itself.
 
@@ -46,10 +52,11 @@ The eleven property ids:
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from itertools import product
-from typing import Callable, Iterator, Optional, Union, get_args
+from typing import BinaryIO, Callable, Iterator, Optional, Sequence, Union, get_args
 
 from .clocked_env import EnvResult, ev, ev_min
 from .clocked_state import StateResult, cval, cval_guard, cval_tick, fix_clock
@@ -667,8 +674,8 @@ def _check_rt(inp: dict[str, object]) -> _CheckOutcome:
     return None
 
 
-# Triples drawn once per `check`: stream position -> (program, store,
-# fuel, outputs drawn).  At about 0.6 KB a case, a full memo is 1.3 MB.
+# Triples a worker of a `check` draws once: stream position -> (program,
+# store, fuel, outputs drawn).  At about 0.6 KB a case, a full memo is 1.3 MB.
 _CaseMemo = dict[int, tuple[Com, Store, int, int]]
 _MEMO_CASES = 2048
 
@@ -840,44 +847,189 @@ def _render_inputs(inputs: dict[str, object]) -> dict[str, object]:
     return {k: _render_value(v) for k, v in inputs.items()}
 
 
+def _run_share(
+    property_id: str, cfg: GenConfig, cases: int, first: int, step: int, memo: _CaseMemo
+) -> tuple[int, list[Failure], Optional[tuple[int, Exception]]]:
+    """Cases first, first + step, ... below `cases` of one campaign.
+
+    Returns (skipped, failures, error): error is None, or (k, e) when
+    case k raised e, where the share stops as a lone campaign would.
+    """
+    skipped = 0
+    failures: list[Failure] = []
+    k = first
+    try:
+        for k in range(first, cases, step):
+            rng = case_stream(cfg.seed, k)
+            inputs, check = _gen_case(property_id, rng, memo)
+            outcome = check(inputs)
+            if outcome is None:
+                continue
+            if outcome is SKIPPED:
+                skipped += 1
+                continue
+            expected, actual = outcome
+            shrunk = _shrink(inputs, check)
+            failures.append(
+                Failure(
+                    case_index=k,
+                    seed=cfg.seed,
+                    inputs=_render_inputs(inputs),
+                    expected=expected,
+                    actual=actual,
+                    shrunk=_render_inputs(shrunk) if shrunk != inputs else None,
+                )
+            )
+    except Exception as e:  # raised again by the parent, after the earlier cases
+        return skipped, failures, (k, e)
+    return skipped, failures, None
+
+
+def _worker_count(cases: int) -> int:
+    """The CPUs this process may run on, at most `cases` and at least 1.
+
+    1 where a fork is unsafe: without ``os.sched_getaffinity`` (off
+    Linux), or with a second thread, as /proc/self/task lists them.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    w = min(len(os.sched_getaffinity(0)), cases)
+    if w > 1:
+        try:
+            if len(os.listdir("/proc/self/task")) > 1:
+                return 1
+        except OSError:
+            return 1
+    return max(w, 1)
+
+
+class Campaigns:
+    """The worker processes and case memos of one `check`: the campaigns
+    of `property_ids`, in that order, `cases` cases each at `cfg`.
+
+    Case k of every campaign runs on worker k mod W, W being
+    ``_worker_count(cases)``.  Worker 0 is this process and runs its
+    cases inside ``run_property``.  Entering forks the other W - 1 once;
+    each runs its cases of every campaign in order, ahead of the parent,
+    and writes its share of each report down a pipe.  Forking keeps the
+    process as it is (its imports, and any evaluator a test replaced),
+    so a worker starts at once.  Workers leave with ``os._exit``, ignore
+    SIGINT and never print.  Every worker keeps one memo, so it draws
+    each of its shared triples once.  Leaving kills any worker still
+    running and reaps every one.
+    """
+
+    def __init__(self, property_ids: Sequence[str], cfg: GenConfig, cases: int) -> None:
+        for pid in property_ids:
+            if pid not in PROPERTY_IDS:
+                raise ValueError(f"unknown property id: {pid!r}")
+        _check_int(cases, "cases", 0)
+        self.property_ids = tuple(property_ids)
+        self.cfg = cfg
+        self.cases = cases
+        self.workers = _worker_count(cases)
+        self.memo: _CaseMemo = {}  # this process's
+        self._done = 0  # campaigns run so far
+        self._children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe's read end)
+
+    def __enter__(self) -> "Campaigns":
+        try:
+            for index in range(1, self.workers):
+                self._children.append(self._fork(index))
+        except OSError:  # no process to be had: every case runs here
+            self.close()
+            self.workers = 1
+        except BaseException:
+            self.close()
+            raise
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _fork(self, index: int) -> tuple[int, BinaryIO]:
+        import pickle  # only a check with workers sends results
+        import signal
+
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
+                os.close(r)
+                with open(w, "wb") as out:
+                    for property_id in self.property_ids:
+                        share = _run_share(property_id, self.cfg, self.cases, index, self.workers, self.memo)
+                        try:
+                            data = pickle.dumps(share)
+                        except Exception:  # an exception that does not pickle goes as its text
+                            k, e = share[2]
+                            data = pickle.dumps((*share[:2], (k, RuntimeError(f"{type(e).__name__}: {e}"))))
+                        out.write(data)
+                        out.flush()
+                        if share[2] is not None:
+                            break
+            finally:
+                os._exit(0)
+        os.close(w)
+        return pid, open(r, "rb")
+
+    def _run(self, property_id: str, cfg: GenConfig, cases: int) -> tuple[int, list[Failure]]:
+        """The next campaign: this process's cases, merged with every
+        worker's.  Returns (skipped, failures in case order), or raises
+        what the first case that raised raised."""
+        planned = self.property_ids[self._done : self._done + 1]
+        if (property_id, cfg, cases) != (planned[0] if planned else None, self.cfg, self.cases):
+            raise ValueError(f"campaign {property_id!r} at {cfg!r}, {cases} cases, is not the next one planned")
+        self._done += 1
+        shares = [_run_share(property_id, cfg, cases, 0, self.workers, self.memo)]
+        if self._children:
+            import pickle
+
+            for pid, reader in self._children:
+                try:
+                    shares.append(pickle.load(reader))
+                except (EOFError, pickle.UnpicklingError):  # a report cut short
+                    raise ChildProcessError(f"check worker {pid} exited without its report") from None
+        errors = [error for _, _, error in shares if error is not None]
+        if errors:
+            raise min(errors, key=lambda error: error[0])[1]
+        failures = sorted((f for _, share, _ in shares for f in share), key=lambda f: f.case_index)
+        return sum(skipped for skipped, _, _ in shares), failures
+
+    def close(self) -> None:
+        """Kills the workers still running and reaps every one."""
+        if self._children:
+            import signal
+
+            while self._children:
+                pid, reader = self._children.pop()
+                reader.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):  # reaped already
+                    pass
+
+
 def run_property(
-    property_id: str, cfg: GenConfig, cases: int, memo: Optional[_CaseMemo] = None
+    property_id: str, cfg: GenConfig, cases: int, campaigns: Optional[Campaigns] = None
 ) -> PropertyReport:
     """Run one property campaign over `cases` generated inputs.
 
     Case k draws everything it needs from ``case_stream(cfg.seed, k)``,
     so any failure is replayable from (property_id, cfg.seed, k); on
-    failure the inputs are greedily shrunk before reporting.  Campaigns
-    given the same `memo` (a dict, empty at first) draw each shared
-    (program, store, fuel) triple once; their reports are unchanged.
+    failure the inputs are greedily shrunk before reporting.  The cases
+    run on the processes of `campaigns`, whose next campaign this must
+    be; without it, the campaign opens its own.  Campaigns run through
+    one `Campaigns` draw each shared (program, store, fuel) triple once
+    per worker.  No report depends on either.
     """
-    if property_id not in PROPERTY_IDS:
-        raise ValueError(f"unknown property id: {property_id!r}")
-    _check_int(cases, "cases", 0)
+    if campaigns is None:
+        with Campaigns((property_id,), cfg, cases) as campaigns:
+            return run_property(property_id, cfg, cases, campaigns)
     t0 = time.perf_counter()
-    failures: list[Failure] = []
-    skipped = 0
-    for k in range(cases):
-        rng = case_stream(cfg.seed, k)
-        inputs, check = _gen_case(property_id, rng, memo)
-        outcome = check(inputs)
-        if outcome is None:
-            continue
-        if outcome is SKIPPED:
-            skipped += 1
-            continue
-        expected, actual = outcome
-        shrunk = _shrink(inputs, check)
-        failures.append(
-            Failure(
-                case_index=k,
-                seed=cfg.seed,
-                inputs=_render_inputs(inputs),
-                expected=expected,
-                actual=actual,
-                shrunk=_render_inputs(shrunk) if shrunk != inputs else None,
-            )
-        )
+    skipped, failures = campaigns._run(property_id, cfg, cases)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return PropertyReport(
         property_id=property_id,

@@ -44,6 +44,18 @@ def test_cli_import_leaves_dataclasses_unloaded():
     assert (p.returncode, p.stdout, p.stderr) == (0, "False\n", "")
 
 
+def test_a_one_process_check_loads_neither_pickle_nor_signal():
+    # Only a check with workers sends results and stops processes.
+    code = (
+        "import os, sys; sys.path.insert(0, sys.argv[1]); import clockwork.cli; "
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "code = clockwork.cli.main(['check', 'P1', '--cases', '3']); "
+        "print(code, 'pickle' in sys.modules, 'signal' in sys.modules)"
+    )
+    p = subprocess.run([sys.executable, "-S", "-c", code, CLI_ENV["PYTHONPATH"]], capture_output=True, text=True)
+    assert (p.returncode, p.stdout.splitlines()[-1], p.stderr) == (0, "0 False False", "")
+
+
 def test_package_import_loads_no_submodule():
     # The package root re-exports nothing: callers import the defining module.
     code = (
@@ -664,9 +676,7 @@ def test_check_prints_each_report_as_the_property_checked_alone(capsys, seed, id
     assert shared == _reports_alone(shared, args, capsys)
 
 
-@pytest.mark.parametrize("seed", [1, 42])
-@pytest.mark.parametrize("ids", _SHARED_IDS[:3], ids=" ".join)
-def test_failing_shared_campaigns_report_and_replay_as_alone(monkeypatch, capsys, seed, ids):
+def _break_cval(monkeypatch) -> None:
     real_cval = testkit.cval
 
     def bad_cval(c, s, t):
@@ -676,6 +686,12 @@ def test_failing_shared_campaigns_report_and_replay_as_alone(monkeypatch, capsys
         return r
 
     monkeypatch.setattr(testkit, "cval", bad_cval)
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("ids", _SHARED_IDS[:3], ids=" ".join)
+def test_failing_shared_campaigns_report_and_replay_as_alone(monkeypatch, capsys, seed, ids):
+    _break_cval(monkeypatch)
     args = ["--seed", str(seed), "--cases", "60"]
     code, shared = _check_reports([*ids, *args], capsys)
     assert code == 2
@@ -684,6 +700,131 @@ def test_failing_shared_campaigns_report_and_replay_as_alone(monkeypatch, capsys
     assert any(f.get("shrunk") for _, f in failures)
     for pid, f in failures:
         assert replay_case(pid, GenConfig(seed=seed), f["case"]) == (f["inputs"], f"fail: expected {f['expected']}; got {f['actual']}")
+
+
+def _use_cpus(monkeypatch, n: int) -> None:
+    """Lets `check` see n CPUs; it runs on n processes where it may fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _check_outputs(argv, capsys, monkeypatch, cpus):
+    """(exit code, stdout without elapsed_ms, stderr) of one in-process
+    `check` on `cpus` CPUs, each with every worker reaped."""
+    _use_cpus(monkeypatch, cpus)
+    code = cli.main(["check", *argv])
+    captured = capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, re.sub(r',"elapsed_ms":[0-9]+', "", captured.out), captured.err
+
+
+def test_check_forks_one_worker_per_cpu_up_to_the_cases(monkeypatch):
+    # Without it the tests of the worker count below would run one process.
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        assert [testkit.Campaigns(["P1"], GenConfig(seed=1), n).workers for n in (0, 1, 2, 60)] == [
+            1, 1, min(cpus, 2), cpus
+        ]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert testkit.Campaigns(["P1"], GenConfig(seed=1), 60).workers == 1
+
+
+# At seed 12, P5 skips cases 7, 17, 18, 32, 41 and 42: some on every worker.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--all", "--seed", "12", "--cases", "60"),
+        ("--all", "--seed", "5", "--cases", "0"),
+        ("--all", "--seed", "5", "--cases", "1"),
+        ("--all", "--seed", "5", "--cases", "2"),
+    ],
+    ids=" ".join,
+)
+def test_reports_do_not_depend_on_the_worker_count(monkeypatch, capsys, argv):
+    alone = _check_outputs(argv, capsys, monkeypatch, 1)
+    assert alone[0] == 0 and alone[1].count("\n") == len(PROPERTY_IDS) and alone[2] == ""
+    for cpus in (2, 3):
+        assert _check_outputs(argv, capsys, monkeypatch, cpus) == alone
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("ids", _SHARED_IDS[:3], ids=" ".join)
+def test_failures_do_not_depend_on_the_worker_count(monkeypatch, capsys, seed, ids):
+    _break_cval(monkeypatch)
+    argv = [*ids, "--seed", str(seed), "--cases", "60"]
+    alone = _check_outputs(argv, capsys, monkeypatch, 1)
+    for cpus in (2, 3):
+        assert _check_outputs(argv, capsys, monkeypatch, cpus) == alone
+    reports = [json.loads(line) for line in alone[1].splitlines()]
+    cases = [f["case"] for r in reports for f in r["failures"]]
+    assert alone[0] == 2 and len(cases) > 3
+    for r in reports:
+        cases = [f["case"] for f in r["failures"]]
+        assert cases == sorted(cases)
+        for f in r["failures"]:
+            got = replay_case(r["property"], GenConfig(seed=seed), f["case"])
+            assert got == (f["inputs"], f"fail: expected {f['expected']}; got {f['actual']}")
+
+
+def _raise_on_cases(monkeypatch, pid, seed, errors) -> None:
+    """Makes cval_guard raise errors[k] on the triple of case k of `pid`."""
+    triples = {}
+    for k, error in errors.items():
+        inputs = testkit._gen_case(pid, testkit.case_stream(seed, k))[0]
+        triples[(inputs["program"], inputs["store"], inputs["fuel"])] = error
+    real = testkit.cval_guard
+
+    def cval_guard(c, s, t):
+        error = triples.get((c, s, t))
+        if error is not None:
+            raise error
+        return real(c, s, t)
+
+    monkeypatch.setattr(testkit, "cval_guard", cval_guard)
+
+
+# Case 3 is the second worker's on two CPUs; the first case that raises
+# names the error, whichever process runs it.
+@pytest.mark.parametrize(
+    "errors",
+    [{3: RecursionError}, {3: RecursionError, 4: MemoryError}, {2: MemoryError, 3: RecursionError}],
+    ids=["worker", "worker-first", "parent-first"],
+)
+def test_passing_failing_and_raising_checks_leave_no_process(monkeypatch, capsys, errors):
+    argv = ["P2", "P4", "P3", "--seed", "9", "--cases", "12"]  # only P3 calls cval_guard
+    passing = _check_outputs(argv, capsys, monkeypatch, 2)
+    assert passing[0] == 0
+    _break_cval(monkeypatch)
+    failing = _check_outputs(argv, capsys, monkeypatch, 2)
+    assert failing[0] == 2 and failing == _check_outputs(argv, capsys, monkeypatch, 1)
+    _raise_on_cases(monkeypatch, "P3", 9, errors)
+    raising = _check_outputs(argv, capsys, monkeypatch, 2)
+    first = errors[min(errors)].__name__
+    reports = "".join(failing[1].splitlines(keepends=True)[:2])  # P2's and P4's
+    assert raising == (1, reports, f"clockwork: check: input too deep or too large ({first})\n")
+    assert raising == _check_outputs(argv, capsys, monkeypatch, 1)
+
+
+def test_an_interrupted_or_lost_worker_leaves_no_process(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    _raise_on_cases(monkeypatch, "P3", 9, {2: KeyboardInterrupt})
+    with pytest.raises(KeyboardInterrupt):
+        testkit.run_property("P3", GenConfig(seed=9), 12)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    real = testkit.cval
+
+    def cval(c, s, t):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(c, s, t)
+
+    monkeypatch.setattr(testkit, "cval", cval)
+    with pytest.raises(ChildProcessError, match="exited without its report"):
+        testkit.run_property("P2", GenConfig(seed=9), 12)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 _TRIPLE_IDS = ["P1", "P2", "P3", "P6", "P7", "P8"]
@@ -702,20 +843,27 @@ def _count_stores(monkeypatch) -> list:
     return stores
 
 
-def test_check_draws_each_shared_triple_once(monkeypatch, capsys):
+# The counts are of draws made in this process, which runs cases 0,
+# cpus, 2 * cpus, ... of every campaign.
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_check_draws_each_shared_triple_once(monkeypatch, capsys, cpus):
+    _use_cpus(monkeypatch, cpus)
+    own = [testkit._gen_case("P1", testkit.case_stream(42, k))[0]["store"] for k in range(0, 50, cpus)]
     stores = _count_stores(monkeypatch)
     assert _check_reports([*_TRIPLE_IDS, "--seed", "42", "--cases", "50"], capsys)[0] == 0
-    assert len(stores) == 50  # not 6 x 50
+    assert stores[: len(own)] == own  # each of this process's triples, in case order
+    assert len(stores) == len(own)  # once, not 6 times
 
 
 def test_the_case_memo_holds_at_most_its_cap(monkeypatch, capsys):
+    _use_cpus(monkeypatch, 1)
     monkeypatch.setattr(testkit, "_MEMO_CASES", 3)
     sizes = []
     real_run_property = cli.run_property
 
-    def run_property(pid, cfg, cases, memo):
-        report = real_run_property(pid, cfg, cases, memo)
-        sizes.append(len(memo))
+    def run_property(pid, cfg, cases, campaigns):
+        report = real_run_property(pid, cfg, cases, campaigns)
+        sizes.append(len(campaigns.memo))
         return report
 
     monkeypatch.setattr(cli, "run_property", run_property)

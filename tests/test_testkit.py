@@ -1,6 +1,7 @@
 """Generator, fuel-search, campaign, and shrinking tests."""
 
 import hashlib
+import inspect
 import json
 import re
 import sys
@@ -694,6 +695,8 @@ def test_import_surface_the_benchmark_relies_on():
         for name in names:
             assert hasattr(module, name), (module.__name__, name)
     assert set(tk.SEMANTICS) == {"ev", "ev_min", "cval", "cval_guard", "cval_tick"}
+    # the tracer tags each campaign with the id and case count `check` passes first and third
+    assert list(inspect.signature(cli.run_property).parameters)[:3] == ["property_id", "cfg", "cases"]
     # the counted names must be the ones the evaluators and the oracle call
     for module in (clocked_env, clocked_state, ss):
         assert module.aval is imp.aval and module.bval is imp.bval, module.__name__
