@@ -827,6 +827,18 @@ def test_an_interrupted_or_lost_worker_leaves_no_process(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_worker_error_that_does_not_pickle_arrives_as_its_text(monkeypatch):
+    class Unpicklable(Exception):  # a local class pickles by a name no module has
+        pass
+
+    _use_cpus(monkeypatch, 2)
+    _raise_on_cases(monkeypatch, "P3", 9, {3: Unpicklable("on case 3")})
+    with pytest.raises(RuntimeError, match=r"^Unpicklable: on case 3$"):
+        testkit.run_property("P3", GenConfig(seed=9), 12)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 _TRIPLE_IDS = ["P1", "P2", "P3", "P6", "P7", "P8"]
 
 
