@@ -928,7 +928,7 @@ class Campaigns:
         self.cfg = cfg
         self.cases = cases
         self.workers = _worker_count(cases)
-        self.memo: _CaseMemo = {}  # this process's
+        self.memo: _CaseMemo = {}  # worker 0's; each forked worker fills its own copy
         self._done = 0  # campaigns run so far
         self._children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe's read end)
 

@@ -827,6 +827,23 @@ def test_an_interrupted_or_lost_worker_leaves_no_process(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_check_that_cannot_fork_runs_in_process(monkeypatch, capsys):
+    argv = ["P1", "P5", "--seed", "12", "--cases", "40"]
+    alone = _check_outputs(argv, capsys, monkeypatch, 1)
+    real_fork = os.fork
+    forks = []
+
+    def fork():  # the second fork finds no process to be had
+        if forks:
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+        forks.append(real_fork())
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _check_outputs(argv, capsys, monkeypatch, 3) == alone
+    assert len(forks) == 1
+
+
 def test_a_worker_error_that_does_not_pickle_arrives_as_its_text(monkeypatch):
     class Unpicklable(Exception):  # a local class pickles by a name no module has
         pass
@@ -855,16 +872,24 @@ def _count_stores(monkeypatch) -> list:
     return stores
 
 
-# The counts are of draws made in this process, which runs cases 0,
-# cpus, 2 * cpus, ... of every campaign.
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_check_draws_each_shared_triple_once(monkeypatch, capsys, cpus):
+def _draws_of_own_triples(monkeypatch, capsys, cpus):
+    """The stores drawn in this process by a `check` on `cpus` CPUs, and
+    those of its own cases' triples: cases 0, cpus, 2 * cpus, ..."""
     _use_cpus(monkeypatch, cpus)
     own = [testkit._gen_case("P1", testkit.case_stream(42, k))[0]["store"] for k in range(0, 50, cpus)]
     stores = _count_stores(monkeypatch)
     assert _check_reports([*_TRIPLE_IDS, "--seed", "42", "--cases", "50"], capsys)[0] == 0
-    assert stores[: len(own)] == own  # each of this process's triples, in case order
-    assert len(stores) == len(own)  # once, not 6 times
+    return stores, own
+
+
+def test_check_draws_each_shared_triple_once(monkeypatch, capsys):
+    stores, own = _draws_of_own_triples(monkeypatch, capsys, 1)
+    assert stores == own  # 50, not 6 x 50
+
+
+def test_each_worker_draws_each_of_its_shared_triples_once(monkeypatch, capsys):
+    stores, own = _draws_of_own_triples(monkeypatch, capsys, 2)
+    assert stores == own  # the 25 even cases, once each, in case order
 
 
 def test_the_case_memo_holds_at_most_its_cap(monkeypatch, capsys):

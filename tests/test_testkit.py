@@ -35,6 +35,7 @@ from clockwork.parser import parse_com
 from clockwork.smallstep import run_oracle
 from clockwork.testkit import (
     PROPERTY_IDS,
+    Campaigns,
     GenConfig,
     SplitMix64,
     _gen_case,
@@ -342,6 +343,18 @@ def test_run_property_unknown_id():
         run_property("P99", GenConfig(seed=1), 10)
     with pytest.raises(ValueError, match="unknown property id: 'P99'"):
         replay_case("P99", GenConfig(seed=1), 0)
+
+
+def test_run_property_runs_only_the_next_campaign_planned():
+    cfg = GenConfig(seed=1)
+    with Campaigns(("P1", "P2"), cfg, 10) as campaigns:
+        for wrong in (("P2", cfg, 10), ("P1", GenConfig(seed=2), 10), ("P1", cfg, 11)):
+            with pytest.raises(ValueError, match="is not the next one planned"):
+                run_property(*wrong, campaigns)
+        assert run_property("P1", cfg, 10, campaigns).passed
+        assert run_property("P2", cfg, 10, campaigns).passed
+        with pytest.raises(ValueError, match="is not the next one planned"):
+            run_property("P1", cfg, 10, campaigns)
 
 
 # Every integer argument is read by one rule: a non-bool int at or above
