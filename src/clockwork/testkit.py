@@ -16,6 +16,13 @@ count.  Case k of every property in the check runs on worker k mod W,
 and worker 0 is the calling process.  Since every case draws from its
 own stream, the reports do not depend on W.
 
+P10's fuel sweep of a step-limited case, 257 fuels under five
+semantics, runs on cpus // W processes: the calling process and helpers
+it forks for that sweep alone, process j running fuels j, j + n, ...
+A forked worker sweeps serially, and a terminating case forks nothing.
+A helper only says whether all its runs timed out; on anything else the
+sweep runs again serially, so the report is the serial one.
+
 Each worker keeps one memo for the whole check, so it draws once the
 (program, store, fuel) triple that P1, P2, P3, P6, P7 and P8 start each
 of its cases with.  The memo is keyed by the stream position the triple
@@ -649,17 +656,71 @@ def _check_p9(inp: dict[str, object]) -> _CheckOutcome:
     return p9_agreement(c, s, outcome, while_steps)
 
 
-def _check_p10(inp: dict[str, object]) -> _CheckOutcome:
-    c, s = inp["program"], inp["store"]
-    outcome = run_oracle(c, s, ORACLE_CAP)
-    if isinstance(outcome, Terminated):
-        return None
-    for fuel in range(TIMEOUT_FUEL_CEILING + 1):
+def _p10_sweep(c: Com, s: Store, first: int = 0, step: int = 1) -> Optional[tuple[str, str]]:
+    """Fuels first, first + step, ... up to the ceiling, each under the five
+    semantics in order: None if every run times out, else (expected,
+    actual) for the first that does not."""
+    for fuel in range(first, TIMEOUT_FUEL_CEILING + 1, step):
         for name, fn in SEMANTICS.items():
             r = fn(c, s, fuel)
             if r is not None:
                 return (f"{name} times out at every fuel <= {TIMEOUT_FUEL_CEILING}", f"{name} at fuel {fuel}: {_render(r)}")
     return None
+
+
+def _split_sweep_times_out(c: Com, s: Store, n: int) -> bool:
+    """Whether every run of P10's sweep times out, the sweep split over
+    this process and n - 1 forked helpers: process j runs fuels j, j + n, ...
+
+    A helper sends one byte, whether all its runs timed out.  False says
+    only that something else happened somewhere (a result, an exception,
+    or a fork that failed); which one is for the serial sweep to find.
+    """
+
+    def times_out(first: int) -> bool:
+        try:
+            return _p10_sweep(c, s, first, n) is None
+        except Exception:  # the serial sweep raises it, or what comes before it
+            return False
+
+    helpers: list[tuple[int, BinaryIO]] = []
+    try:
+        try:
+            for j in range(1, n):
+                helpers.append(_fork_child(lambda out, j=j: out.write(b"1" if times_out(j) else b"0")))
+        except OSError:  # no process to be had
+            return False
+        if not times_out(0):
+            return False
+        for pid, reader in helpers:
+            byte = reader.read(1)
+            if not byte:
+                raise ChildProcessError(f"P10 sweep helper {pid} exited without its result")
+            if byte != b"1":
+                return False
+        return True
+    finally:
+        _reap_children(helpers)
+
+
+def _check_p10(inp: dict[str, object], sweep: int = 1) -> _CheckOutcome:
+    """P10 on one case: a step-limited case must time out under all five
+    semantics at every fuel up to the ceiling.
+
+    The sweep runs on `sweep` processes (see ``Campaigns.sweep``) and
+    forks only for a step-limited case.  Split, it only tells whether
+    every run timed out; on anything else the sweep runs again here,
+    serially, so that a failure, its message and shrunk input, or the
+    exception raised are exactly those of the serial sweep, and no
+    result or exception crosses a pipe.
+    """
+    c, s = inp["program"], inp["store"]
+    outcome = run_oracle(c, s, ORACLE_CAP)
+    if isinstance(outcome, Terminated):
+        return None
+    if sweep > 1 and _split_sweep_times_out(c, s, sweep):
+        return None
+    return _p10_sweep(c, s)
 
 
 def _check_rt(inp: dict[str, object]) -> _CheckOutcome:
@@ -699,8 +760,10 @@ def _gen_triple(rng: SplitMix64, memo: Optional[_CaseMemo] = None) -> dict[str, 
 
 
 def _gen_case(
-    property_id: str, rng: SplitMix64, memo: Optional[_CaseMemo] = None
+    property_id: str, rng: SplitMix64, memo: Optional[_CaseMemo] = None, sweep: int = 1
 ) -> tuple[dict[str, object], _Checker]:
+    """Case inputs drawn from `rng`, and their checker; P10's runs its
+    sweep on `sweep` processes."""
     if property_id in ("P1", "P2", "P3"):
         return _gen_triple(rng, memo), {"P1": _check_p1, "P2": _check_p2, "P3": _check_p3}[property_id]
     if property_id == "P4":
@@ -734,7 +797,7 @@ def _gen_case(
         return {
             "program": _gen_com(rng, _MAX_SIZE),
             "store": _gen_store(rng),
-        }, _check_p9 if property_id == "P9" else _check_p10
+        }, _check_p9 if property_id == "P9" else lambda inp: _check_p10(inp, sweep)
     if property_id == "RT":
         return {"program": _gen_com(rng, _MAX_SIZE)}, _check_rt
     raise ValueError(f"unknown property id: {property_id!r}")
@@ -848,9 +911,10 @@ def _render_inputs(inputs: dict[str, object]) -> dict[str, object]:
 
 
 def _run_share(
-    property_id: str, cfg: GenConfig, cases: int, first: int, step: int, memo: _CaseMemo
+    property_id: str, cfg: GenConfig, cases: int, first: int, step: int, memo: _CaseMemo, sweep: int
 ) -> tuple[int, list[Failure], Optional[tuple[int, Exception]]]:
-    """Cases first, first + step, ... below `cases` of one campaign.
+    """Cases first, first + step, ... below `cases` of one campaign, with
+    P10's sweeps on `sweep` processes.
 
     Returns (skipped, failures, error): error is None, or (k, e) when
     case k raised e, where the share stops as a lone campaign would.
@@ -861,7 +925,7 @@ def _run_share(
     try:
         for k in range(first, cases, step):
             rng = case_stream(cfg.seed, k)
-            inputs, check = _gen_case(property_id, rng, memo)
+            inputs, check = _gen_case(property_id, rng, memo, sweep)
             outcome = check(inputs)
             if outcome is None:
                 continue
@@ -885,38 +949,86 @@ def _run_share(
     return skipped, failures, None
 
 
-def _worker_count(cases: int) -> int:
-    """The CPUs this process may run on, at most `cases` and at least 1.
-
-    1 where a fork is unsafe: without ``os.sched_getaffinity`` (off
-    Linux), or with a second thread, as /proc/self/task lists them.
-    """
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where a fork is unsafe:
+    without ``os.sched_getaffinity`` (off Linux), or with a second
+    thread, as /proc/self/task lists them."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    w = min(len(os.sched_getaffinity(0)), cases)
-    if w > 1:
+    cpus = len(os.sched_getaffinity(0))
+    if cpus > 1:
         try:
             if len(os.listdir("/proc/self/task")) > 1:
                 return 1
         except OSError:
             return 1
-    return max(w, 1)
+    return cpus
+
+
+def _fork_child(body: Callable[[BinaryIO], object]) -> tuple[int, BinaryIO]:
+    """Forks a child that runs ``body(out)``; returns the child's pid and
+    the read end of the pipe `out` writes to.
+
+    Forking keeps the process as it is (its imports, and any evaluator a
+    test replaced), so a child starts at once.  The child ignores SIGINT,
+    since its parent stops it (``_reap_children``), never prints, and
+    leaves with ``os._exit`` however `body` ends.  A fork that fails
+    raises OSError and leaves no pipe open.
+    """
+    import signal
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(r)
+            with open(w, "wb") as out:
+                body(out)
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _reap_children(children: list[tuple[int, BinaryIO]]) -> None:
+    """Kills the (pid, read end) children still running and reaps every
+    one, emptying `children`."""
+    if children:
+        import signal
+
+        while children:
+            pid, reader = children.pop()
+            reader.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already
+                pass
 
 
 class Campaigns:
     """The worker processes and case memos of one `check`: the campaigns
     of `property_ids`, in that order, `cases` cases each at `cfg`.
 
-    Case k of every campaign runs on worker k mod W, W being
-    ``_worker_count(cases)``.  Worker 0 is this process and runs its
-    cases inside ``run_property``.  Entering forks the other W - 1 once;
-    each runs its cases of every campaign in order, ahead of the parent,
-    and writes its share of each report down a pipe.  Forking keeps the
-    process as it is (its imports, and any evaluator a test replaced),
-    so a worker starts at once.  Workers leave with ``os._exit``, ignore
-    SIGINT and never print.  Every worker keeps one memo, so it draws
-    each of its shared triples once.  Leaving kills any worker still
-    running and reaps every one.
+    Case k of every campaign runs on worker k mod W, W being the CPUs
+    this process may run on (``_cpus``), at most `cases` and at least 1.
+    Worker 0 is this process and runs its cases inside ``run_property``.
+    Entering forks the other W - 1 once (``_fork_child``); each runs its
+    cases of every campaign in order, ahead of the parent, and writes
+    its share of each report down a pipe.  Every worker keeps one memo,
+    so it draws each of its shared triples once.  Leaving kills any
+    worker still running and reaps every one.
+
+    `sweep` is cpus // W: the processes that P10's fuel sweep of a
+    step-limited case runs on in this process, 1 when the workers hold
+    every CPU.  A forked worker sweeps serially: a worker its parent
+    kills could not reap helpers of its own.
     """
 
     def __init__(self, property_ids: Sequence[str], cfg: GenConfig, cases: int) -> None:
@@ -927,7 +1039,9 @@ class Campaigns:
         self.property_ids = tuple(property_ids)
         self.cfg = cfg
         self.cases = cases
-        self.workers = _worker_count(cases)
+        cpus = _cpus()
+        self.workers = max(1, min(cpus, cases))
+        self.sweep = cpus // self.workers
         self.memo: _CaseMemo = {}  # worker 0's; each forked worker fills its own copy
         self._done = 0  # campaigns run so far
         self._children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe's read end)
@@ -936,9 +1050,9 @@ class Campaigns:
         try:
             for index in range(1, self.workers):
                 self._children.append(self._fork(index))
-        except OSError:  # no process to be had: every case runs here
+        except OSError:  # no process to be had: every case and sweep runs here
             self.close()
-            self.workers = 1
+            self.workers = self.sweep = 1
         except BaseException:
             self.close()
             raise
@@ -948,31 +1062,23 @@ class Campaigns:
         self.close()
 
     def _fork(self, index: int) -> tuple[int, BinaryIO]:
+        """Forks worker `index`, which pickles its share of each campaign down its pipe."""
         import pickle  # only a check with workers sends results
-        import signal
 
-        r, w = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
-                os.close(r)
-                with open(w, "wb") as out:
-                    for property_id in self.property_ids:
-                        share = _run_share(property_id, self.cfg, self.cases, index, self.workers, self.memo)
-                        try:
-                            data = pickle.dumps(share)
-                        except Exception:  # an exception that does not pickle goes as its text
-                            k, e = share[2]
-                            data = pickle.dumps((*share[:2], (k, RuntimeError(f"{type(e).__name__}: {e}"))))
-                        out.write(data)
-                        out.flush()
-                        if share[2] is not None:
-                            break
-            finally:
-                os._exit(0)
-        os.close(w)
-        return pid, open(r, "rb")
+        def run_shares(out: BinaryIO) -> None:
+            for property_id in self.property_ids:
+                share = _run_share(property_id, self.cfg, self.cases, index, self.workers, self.memo, 1)
+                try:
+                    data = pickle.dumps(share)
+                except Exception:  # an exception that does not pickle goes as its text
+                    k, e = share[2]
+                    data = pickle.dumps((*share[:2], (k, RuntimeError(f"{type(e).__name__}: {e}"))))
+                out.write(data)
+                out.flush()
+                if share[2] is not None:
+                    break
+
+        return _fork_child(run_shares)
 
     def _run(self, property_id: str, cfg: GenConfig, cases: int) -> tuple[int, list[Failure]]:
         """The next campaign: this process's cases, merged with every
@@ -982,7 +1088,7 @@ class Campaigns:
         if (property_id, cfg, cases) != (planned[0] if planned else None, self.cfg, self.cases):
             raise ValueError(f"campaign {property_id!r} at {cfg!r}, {cases} cases, is not the next one planned")
         self._done += 1
-        shares = [_run_share(property_id, cfg, cases, 0, self.workers, self.memo)]
+        shares = [_run_share(property_id, cfg, cases, 0, self.workers, self.memo, self.sweep)]
         if self._children:
             import pickle
 
@@ -999,17 +1105,7 @@ class Campaigns:
 
     def close(self) -> None:
         """Kills the workers still running and reaps every one."""
-        if self._children:
-            import signal
-
-            while self._children:
-                pid, reader = self._children.pop()
-                reader.close()
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):  # reaped already
-                    pass
+        _reap_children(self._children)
 
 
 def run_property(
@@ -1045,11 +1141,12 @@ def replay_case(property_id: str, cfg: GenConfig, case_index: int) -> tuple[dict
     """Re-generate and re-check one campaign case.
 
     Returns the rendered inputs and "pass", "skip", or "fail: ..." so a
-    reported failure can be reproduced in isolation.
+    reported failure can be reproduced in isolation.  A P10 sweep runs on
+    every CPU the process may use.
     """
     _check_int(case_index, "case_index", 0)
     rng = case_stream(cfg.seed, case_index)
-    inputs, check = _gen_case(property_id, rng)
+    inputs, check = _gen_case(property_id, rng, sweep=_cpus())
     outcome = check(inputs)
     if outcome is None:
         verdict = "pass"

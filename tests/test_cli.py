@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -854,6 +855,162 @@ def test_a_worker_error_that_does_not_pickle_arrives_as_its_text(monkeypatch):
         testkit.run_property("P3", GenConfig(seed=9), 12)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# Campaign seeds whose case 0 is oracle step-limited: the first three of
+# the benchmark's oracle_sweep panel.
+_STEP_LIMITED_SEEDS = [1898351392483613935, 3682447102817607390, 497292374287994049]
+
+
+def _step_limited(seed: int, k: int = 0) -> bool:
+    inputs = testkit._gen_case("P10", testkit.case_stream(seed, k))[0]
+    return isinstance(testkit.run_oracle(inputs["program"], inputs["store"], testkit.ORACLE_CAP), testkit.StepLimit)
+
+
+@pytest.mark.parametrize("seed", _STEP_LIMITED_SEEDS)
+@pytest.mark.parametrize("ids", [("P10",), ("P9", "P10")], ids=" ".join)
+def test_step_limited_sweeps_do_not_depend_on_the_cpu_count(monkeypatch, capsys, seed, ids):
+    assert _step_limited(seed)
+    argv = [*ids, "--seed", str(seed), "--cases", "1"]
+    alone = _check_outputs(argv, capsys, monkeypatch, 1)
+    assert alone[0] == 0 and alone[1].count("\n") == len(ids) and alone[2] == ""
+    for cpus in (2, 3):
+        assert _check_outputs(argv, capsys, monkeypatch, cpus) == alone
+
+
+def _break_sweep(monkeypatch, fuels, error=None) -> None:
+    """Makes cval_tick, as P10's sweep calls it, succeed on any input at
+    `fuels`, or raise `error` there."""
+    real = testkit.SEMANTICS["cval_tick"]
+
+    def cval_tick(c, s, t):
+        if t in fuels:
+            if error is not None:
+                raise error
+            return (s, 0)
+        return real(c, s, t)
+
+    monkeypatch.setitem(testkit.SEMANTICS, "cval_tick", cval_tick)
+
+
+# On two CPUs the calling process sweeps the even fuels and its helper
+# the odd ones; on three, process j sweeps the fuels j mod 3.
+@pytest.mark.parametrize(
+    "fuels, error",
+    [({2}, None), ({7}, None), ({0, 256}, None), ({256}, None), ({1, 2}, None), ({5}, RecursionError)],
+    ids=["even", "odd", "both-ends", "last", "helper-lower", "helper-raises"],
+)
+def test_broken_sweeps_fail_as_on_one_cpu(monkeypatch, capsys, fuels, error):
+    seed = _STEP_LIMITED_SEEDS[0]
+    _break_sweep(monkeypatch, fuels, error)
+    argv = ["P9", "P10", "--seed", str(seed), "--cases", "1"]
+    alone = _check_outputs(argv, capsys, monkeypatch, 1)
+    for cpus in (2, 3):
+        assert _check_outputs(argv, capsys, monkeypatch, cpus) == alone
+    p9, *p10 = [json.loads(line) for line in alone[1].splitlines()]
+    assert p9["property"] == "P9" and p9["failures"] == []
+    if error is not None:
+        assert (alone[0], p10, alone[2]) == (1, [], f"clockwork: check: input too deep or too large ({error.__name__})\n")
+        with pytest.raises(error):
+            replay_case("P10", GenConfig(seed=seed), 0)
+        return
+    (f,) = p10[0]["failures"]
+    assert (alone[0], alone[2]) == (2, "")
+    assert f["actual"].startswith(f"cval_tick at fuel {min(fuels)}: ") and f["shrunk"]
+    assert replay_case("P10", GenConfig(seed=seed), 0) == (f["inputs"], f"fail: expected {f['expected']}; got {f['actual']}")
+
+
+def _runs_and_forks(monkeypatch, capsys, log, argv, cpus):
+    """The outputs of `check` on `cpus` CPUs, the ("name", fuel) runs of
+    P10's sweeps and the number of forks, counted in every process
+    through `log`, a file that each appends to."""
+    log.touch()
+
+    def append(line: str) -> None:
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, line.encode())
+        finally:
+            os.close(fd)
+
+    with monkeypatch.context() as m:
+        for name, real in list(testkit.SEMANTICS.items()):
+
+            def run(c, s, t, name=name, real=real):
+                append(f"{name} {t}\n")
+                return real(c, s, t)
+
+            m.setitem(testkit.SEMANTICS, name, run)
+        real_fork = os.fork
+
+        def fork():
+            append("fork\n")
+            return real_fork()
+
+        m.setattr(os, "fork", fork)
+        outputs = _check_outputs(argv, capsys, monkeypatch, cpus)
+    lines = log.read_text().splitlines()
+    return outputs, Counter(line for line in lines if line != "fork"), lines.count("fork")
+
+
+@pytest.mark.parametrize(
+    "argv, cpus, forks, sweeps",
+    [
+        (["--seed", str(_STEP_LIMITED_SEEDS[0]), "--cases", "1"], 2, 1, 1),  # one sweep helper
+        (["--seed", str(_STEP_LIMITED_SEEDS[0]), "--cases", "1"], 3, 2, 1),
+        (["--seed", "1", "--cases", "1"], 2, 0, 0),  # a terminating case sweeps nothing
+        (["--seed", "5", "--cases", "60"], 2, 1, 4),  # the worker holds the other CPU: no helper
+    ],
+    ids=["limited-2", "limited-3", "terminating", "campaign"],
+)
+def test_sweeps_run_each_fuel_and_semantics_once(monkeypatch, capsys, tmp_path, argv, cpus, forks, sweeps):
+    argv = ["P10", *argv]
+    serial = _runs_and_forks(monkeypatch, capsys, tmp_path / "serial", argv, 1)
+    assert serial[0][0] == 0 and serial[2] == 0
+    assert serial[1] == Counter({f"{name} {t}": sweeps for name in testkit.SEMANTICS for t in range(257) if sweeps})
+    assert _runs_and_forks(monkeypatch, capsys, tmp_path / "split", argv, cpus) == (serial[0], serial[1], forks)
+
+
+def test_a_lost_or_interrupted_sweep_helper_leaves_no_process(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    cfg = GenConfig(seed=_STEP_LIMITED_SEEDS[0])
+    real = testkit.SEMANTICS["ev"]
+
+    def lost(c, s, t):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(c, s, t)
+
+    def interrupted(c, s, t):
+        if t == 8 and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(c, s, t)
+
+    for ev, error, match in ((lost, ChildProcessError, "exited without its result"), (interrupted, KeyboardInterrupt, None)):
+        with monkeypatch.context() as m:
+            m.setitem(testkit.SEMANTICS, "ev", ev)
+            with pytest.raises(error, match=match):
+                testkit.run_property("P10", cfg, 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_sweep_that_cannot_fork_runs_in_process(monkeypatch, capsys):
+    argv = ["P9", "P10", "--seed", str(_STEP_LIMITED_SEEDS[1]), "--cases", "1"]
+    alone = _check_outputs(argv, capsys, monkeypatch, 1)
+    real_fork = os.fork
+    forks = []
+
+    def fork():  # the second helper finds no process to be had
+        if forks:
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+        forks.append(real_fork())
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _check_outputs(argv, capsys, monkeypatch, 3) == alone
+    assert len(forks) == 1
 
 
 _TRIPLE_IDS = ["P1", "P2", "P3", "P6", "P7", "P8"]
