@@ -19,22 +19,26 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import re
 import sys
-from typing import NoReturn, Optional, Sequence
+from typing import BinaryIO, Callable, NoReturn, Optional, Sequence
 
 from .clocked_env import least_fuel
 from .imp import Com, Skip, Store, pretty
 from .parser import ParseError, parse_com
-from .smallstep import Terminated, TraceRenderer, iter_trace, run_oracle
+from .smallstep import StepLimit, Terminated, TraceRenderer, iter_trace, run_oracle
 from .testkit import (
     ORACLE_CAP,
     PROPERTY_IDS,
     SEMANTICS,
     Campaigns,
     GenConfig,
+    _cpus,
+    _fork_child,
+    _reap_children,
     fuel_search,
     run_property,
 )
@@ -161,6 +165,68 @@ def _emit(obj: dict) -> None:
     print(text)
 
 
+# The steps of `run --oracle`'s first oracle leg, run in process; only a
+# run still going after them forks a helper.  On 2 vCPUs the leg takes
+# about 0.2 ms, which a run that goes on pays again, against about 1.7 ms
+# for a fork, its answer and its reap from an 18 MB process.  So a tiny
+# run forks nothing, and neither does any program of the goldens.  A run
+# of a few thousand steps forks and does not win its fork back; a longer
+# leg would spare it that, at the cost of every longer run.
+_ORACLE_FIRST_LEG = 1024
+
+
+def _oracle_steps(outcome) -> Optional[int]:
+    return outcome.steps if isinstance(outcome, Terminated) else None
+
+
+def _oracle_helper(out: BinaryIO, com: Com, store: Store, cap: int) -> None:
+    """Writes the oracle's steps in ASCII decimal, or L if step-limited."""
+    # The child leaves with os._exit; a GC pass would copy the pages of
+    # every inherited object it walks.
+    gc.disable()
+    outcome = run_oracle(com, store, cap)
+    out.write(b"L" if isinstance(outcome, StepLimit) else str(outcome.steps).encode())
+
+
+def _start_oracle(com: Com, store: Store, cap: int, helpers: list[tuple[int, BinaryIO]]) -> Callable[[], Optional[int]]:
+    """Starts the oracle run of `run --oracle`; returns the function that
+    gives its steps, None if step-limited, once the evaluator has run.
+
+    The oracle first runs here up to ``_ORACLE_FIRST_LEG`` steps, which
+    settles most runs.  A run still going then goes on to `cap` in one
+    forked helper, added to `helpers`, where the process may use more
+    than one CPU.  On anything but the helper's well-formed answer (a
+    failed fork, a helper that dies or raises), or on one CPU, the oracle
+    runs here after the evaluator, as if alone; so does an oracle that
+    raised in its first leg, so that the evaluator's error comes first.
+    """
+
+    def serial() -> Optional[int]:
+        return _oracle_steps(run_oracle(com, store, cap))
+
+    try:
+        outcome = run_oracle(com, store, min(cap, _ORACLE_FIRST_LEG))
+    except Exception:  # raised again by serial(), after the evaluator ran
+        return serial
+    if isinstance(outcome, Terminated) or cap <= _ORACLE_FIRST_LEG:
+        return lambda: _oracle_steps(outcome)
+    if _cpus() < 2:
+        return serial
+    try:
+        helpers.append(_fork_child(lambda out: _oracle_helper(out, com, store, cap)))
+    except OSError:  # no process to be had
+        return serial
+    reader = helpers[-1][1]
+
+    def answer() -> Optional[int]:
+        data = reader.read()
+        if data == b"L":
+            return None
+        return int(data) if data.isdigit() else serial()
+
+    return answer
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     com = _load_program(args.file)
     store = _parse_init(args.init)
@@ -169,31 +235,35 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.cap < 1:
         _usage("clockwork: --cap must be positive")
     report: dict[str, object] = {"semantics": args.sem, "fuel_in": f"search:{fuel}" if search else fuel}
-    result = None
-    if search:
-        found = fuel_search(sem_key, com, store, fuel)
-        if found is not None:
-            fuel, result = found
-    else:
-        result = SEMANTICS[sem_key](com, store, fuel)
+    helpers: list[tuple[int, BinaryIO]] = []
+    try:
+        oracle_steps = _start_oracle(com, store, args.cap, helpers) if args.oracle else None
+        result = None
+        if search:
+            found = fuel_search(sem_key, com, store, fuel)
+            if found is not None:
+                fuel, result = found
+        else:
+            result = SEMANTICS[sem_key](com, store, fuel)
 
-    if result is None:
-        report["outcome"] = "not-found" if search else "timeout"
-    elif isinstance(result, Store):
-        report["outcome"] = "final"
-        report["store"] = result.to_dict()
-        # The evaluator's result is reported; its twin measures the fuel.
-        report["fuel_consumed"] = least_fuel(com, store, fuel, sem_key == "ev")[1]
-    else:
-        final_store, leftover = result
-        report["outcome"] = "final"
-        report["store"] = final_store.to_dict()
-        report["leftover_fuel"] = leftover
-        report["fuel_consumed"] = fuel - leftover
+        if result is None:
+            report["outcome"] = "not-found" if search else "timeout"
+        elif isinstance(result, Store):
+            report["outcome"] = "final"
+            report["store"] = result.to_dict()
+            # The evaluator's result is reported; its twin measures the fuel.
+            report["fuel_consumed"] = least_fuel(com, store, fuel, sem_key == "ev")[1]
+        else:
+            final_store, leftover = result
+            report["outcome"] = "final"
+            report["store"] = final_store.to_dict()
+            report["leftover_fuel"] = leftover
+            report["fuel_consumed"] = fuel - leftover
 
-    if args.oracle:
-        outcome = run_oracle(com, store, args.cap)
-        report["oracle_steps"] = outcome.steps if isinstance(outcome, Terminated) else None
+        if oracle_steps is not None:
+            report["oracle_steps"] = oracle_steps()
+    finally:
+        _reap_children(helpers)
 
     _emit(report)
     return EXIT_OK if result is not None else EXIT_TIMEOUT

@@ -704,7 +704,8 @@ def test_failing_shared_campaigns_report_and_replay_as_alone(monkeypatch, capsys
 
 
 def _use_cpus(monkeypatch, n: int) -> None:
-    """Lets `check` see n CPUs; it runs on n processes where it may fork."""
+    """Lets `check` and `run` see n CPUs: `check` runs on n processes
+    where it may fork, and `run --oracle` on 2 where n > 1."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
@@ -1011,6 +1012,188 @@ def test_a_sweep_that_cannot_fork_runs_in_process(monkeypatch, capsys):
     monkeypatch.setattr(os, "fork", fork)
     assert _check_outputs(argv, capsys, monkeypatch, 3) == alone
     assert len(forks) == 1
+
+
+# A counting loop of 12,004 oracle steps, past the oracle's first leg.
+COUNT = "x := 0 ; WHILE x < 3000 DO x := x + 1 OD\n"
+COUNT_STEPS = 4 * 3000 + 4
+ORACLE = ["--oracle", "--cap", "100000"]
+DIVERGE = str(README.parent / "programs" / "diverge.imp")
+
+
+def _run_outputs(argv, capsys, monkeypatch, cpus):
+    """(exit code, stdout, stderr) of one in-process `run` on `cpus` CPUs,
+    with its helper, if any, reaped."""
+    _use_cpus(monkeypatch, cpus)
+    code = cli.main(["run", *argv])
+    captured = capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, captured.out, captured.err
+
+
+def _count_forks(monkeypatch) -> list:
+    """Records the pid each os.fork returns in this process."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(real_fork())
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.fixture
+def count_imp(tmp_path):
+    path = tmp_path / "count.imp"
+    path.write_text(COUNT, encoding="utf-8")
+    return str(path)
+
+
+_LONG_RUNS = {
+    "final": ("--fuel", "100000"),
+    "search": ("--fuel", "search:100000"),
+    "timeout": ("--fuel", "50"),
+}
+
+
+@pytest.mark.parametrize("sem", cli._SEM_CHOICES)
+@pytest.mark.parametrize("case", [*_LONG_RUNS, "diverge"])
+def test_run_reports_do_not_depend_on_the_cpu_count(monkeypatch, capsys, count_imp, sem, case):
+    if case == "diverge":
+        argv = [DIVERGE, "--sem", sem, "--fuel", "100", "--oracle", "--cap", "5000"]
+    else:
+        argv = [count_imp, "--sem", sem, *_LONG_RUNS[case], *ORACLE]
+    alone = _run_outputs(argv, capsys, monkeypatch, 1)
+    doc = json.loads(alone[1])
+    assert doc["oracle_steps"] == (None if case == "diverge" else COUNT_STEPS) and alone[2] == ""
+    assert alone[0] == (2 if case in ("diverge", "timeout") else 0)
+    for cpus in (2, 3):
+        assert _run_outputs(argv, capsys, monkeypatch, cpus) == alone
+
+
+@pytest.mark.parametrize(
+    "oracle, cpus, forks",
+    [(ORACLE, 2, 1), (ORACLE, 3, 1), ([], 2, 0), (ORACLE, 1, 0)],
+    ids=["helper-2", "helper-3", "no-oracle", "one-cpu"],
+)
+def test_a_long_run_forks_one_oracle_helper_where_it_may(monkeypatch, capsys, count_imp, oracle, cpus, forks):
+    for sem in cli._SEM_CHOICES:
+        with monkeypatch.context() as m:
+            counted = _count_forks(m)
+            code, out, err = _run_outputs([count_imp, "--sem", sem, "--fuel", "100000", *oracle], capsys, m, cpus)
+        assert (code, err, len(counted)) == (0, "", forks), sem
+        assert json.loads(out).get("oracle_steps") == (COUNT_STEPS if oracle else None), sem
+
+
+def test_runs_that_end_within_the_first_leg_fork_nothing(monkeypatch, capsys):
+    # Every row of the golden table: loop.imp ends in 16 steps, and
+    # diverge.imp runs to its cap of 100, below the first leg's.
+    assert cli._ORACLE_FIRST_LEG > 100
+    forks = _count_forks(monkeypatch)
+    for row in (GOLDEN / "run_table.txt").read_text(encoding="utf-8").splitlines():
+        program, sem, fuel, code, out = row.split(" ", 4)
+        path = str(README.parent / "programs" / f"{program}.imp")
+        argv = [path, "--sem", sem, "--fuel", fuel, "--oracle", "--cap", "100"]
+        assert _run_outputs(argv, capsys, monkeypatch, 2) == (int(code), out + "\n", ""), row
+    assert forks == []
+
+
+def _record_oracle_caps(monkeypatch, parent, in_helper=None) -> list:
+    """Records the cap of each oracle run in this process; in a helper,
+    calls `in_helper` first, when given."""
+    caps = []
+    real = cli.run_oracle
+
+    def run_oracle(c, s, cap):
+        if os.getpid() != parent:
+            if in_helper is not None:
+                in_helper()
+        else:
+            caps.append(cap)
+        return real(c, s, cap)
+
+    monkeypatch.setattr(cli, "run_oracle", run_oracle)
+    return caps
+
+
+def _no_answer():
+    os._exit(3)
+
+
+def _raise_in_helper():
+    raise RuntimeError("oracle failed in the helper")
+
+
+def _no_process():
+    raise BlockingIOError("fork: Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize(
+    "in_helper, fork_error",
+    [(_no_answer, None), (_raise_in_helper, None), (None, _no_process)],
+    ids=["exits-without-answer", "oracle-raises", "cannot-fork"],
+)
+def test_a_run_whose_helper_fails_runs_the_oracle_in_process(monkeypatch, capsys, count_imp, in_helper, fork_error):
+    argv = [count_imp, "--sem", "cval", "--fuel", "100000", *ORACLE]
+    alone = _run_outputs(argv, capsys, monkeypatch, 1)
+    caps = _record_oracle_caps(monkeypatch, os.getpid(), in_helper)
+    if fork_error is not None:
+        monkeypatch.setattr(os, "fork", fork_error)
+    assert _run_outputs(argv, capsys, monkeypatch, 2) == alone
+    assert caps == [cli._ORACLE_FIRST_LEG, 100000]  # the first leg, then the whole run here
+
+
+@pytest.mark.parametrize("error", [RecursionError, KeyboardInterrupt])
+def test_an_evaluator_that_raises_beside_the_helper_leaves_no_process(monkeypatch, capsys, count_imp, error):
+    def cval(c, s, t):
+        raise error
+
+    monkeypatch.setitem(cli.SEMANTICS, "cval", cval)
+    forks = _count_forks(monkeypatch)
+    _use_cpus(monkeypatch, 2)
+    argv = ["run", count_imp, "--sem", "cval", "--fuel", "100000", *ORACLE]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "clockwork: run: input too deep or too large (RecursionError)\n"
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_run_too_deep_for_the_oracle_fails_as_on_one_cpu(monkeypatch, capsys, tmp_path):
+    # The oracle's first leg raises too; the evaluator's error is reported.
+    path = tmp_path / "deep_plus.imp"
+    path.write_text("x := " + "1 + (" * 1999 + "1" + ")" * 1999 + "\n", encoding="utf-8")
+    argv = [str(path), "--sem", "cval", "--fuel", "10", "--oracle"]
+    alone = _run_outputs(argv, capsys, monkeypatch, 1)
+    assert alone == (1, "", "clockwork: run: input too deep or too large (RecursionError)\n")
+    forks = _count_forks(monkeypatch)
+    assert _run_outputs(argv, capsys, monkeypatch, 2) == alone
+    assert forks == []
+
+
+@pytest.mark.parametrize("evaluator_raises", [True, False])
+def test_the_evaluators_error_comes_before_the_oracles(monkeypatch, capsys, count_imp, evaluator_raises):
+    def run_oracle(c, s, cap):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_oracle", run_oracle)
+    if evaluator_raises:
+
+        def cval(c, s, t):
+            raise RecursionError
+
+        monkeypatch.setitem(cli.SEMANTICS, "cval", cval)
+    argv = [count_imp, "--sem", "cval", "--fuel", "100000", *ORACLE]
+    error = "RecursionError" if evaluator_raises else "MemoryError"
+    for cpus in (1, 2):
+        assert _run_outputs(argv, capsys, monkeypatch, cpus) == (1, "", f"clockwork: run: input too deep or too large ({error})\n")
 
 
 _TRIPLE_IDS = ["P1", "P2", "P3", "P6", "P7", "P8"]
