@@ -13,6 +13,14 @@ messages go to stderr.  Exit codes: 0 for success / all properties
 passing, 2 for timeout, not-found, step-limit, or failing properties,
 1 for parse and usage errors, and for inputs too deep or too large to
 process (reported in one line, never as a traceback).
+
+`run --oracle` runs the small-step oracle beside the evaluator.  Its
+first 1,024 steps (``_ORACLE_FIRST_LEG``) run in process, so a short
+program forks nothing.  A run still going forks one helper, which runs
+the oracle to ``--cap`` while this process runs the evaluator, and sends
+back only its step count.  On one CPU (``taskset -c 0`` gives one
+process), or when the fork or the helper fails, the oracle runs in
+process after the evaluator; the report is the same either way.
 """
 
 from __future__ import annotations
