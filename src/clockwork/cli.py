@@ -320,7 +320,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     cfg = GenConfig(seed=seed)
     all_passed = True
     # One process per CPU, each with one memo: a worker draws each of its
-    # cases' inputs once for all the campaigns, which never share results.
+    # cases' inputs once for all the campaigns and sends only case counts
+    # and indices; every report and error is built in this process.
     with Campaigns(ids, cfg, args.cases) as campaigns:
         for pid in ids:
             report = run_property(pid, cfg, args.cases, campaigns)

@@ -20,8 +20,14 @@ P10's fuel sweep of a step-limited case, 257 fuels under five
 semantics, runs on cpus // W processes: the calling process and helpers
 it forks for that sweep alone, process j running fuels j, j + n, ...
 A forked worker sweeps serially, and a terminating case forks nothing.
-A helper only says whether all its runs timed out; on anything else the
-sweep runs again serially, so the report is the serial one.
+
+A forked process sends only counts and case indices, never a result or
+an exception; the calling process does anything else itself, and runs
+a lost worker's share or a lost helper's sweep.  A worker names the
+cases that failed or raised, which the calling process checks and
+shrinks again; a helper says whether all its runs timed out, and on
+anything else the sweep runs again serially.  So every report and
+error is the one a single process gives.
 
 Each worker keeps one memo for the whole check, so it draws once the
 (program, store, fuel) triple that P1, P2, P3, P6, P7 and P8 start each
@@ -674,7 +680,8 @@ def _split_sweep_times_out(c: Com, s: Store, n: int) -> bool:
 
     A helper sends one byte, whether all its runs timed out.  False says
     only that something else happened somewhere (a result, an exception,
-    or a fork that failed); which one is for the serial sweep to find.
+    a failed fork or a lost helper); which one is for the serial sweep
+    to find.
     """
 
     def times_out(first: int) -> bool:
@@ -692,13 +699,7 @@ def _split_sweep_times_out(c: Com, s: Store, n: int) -> bool:
             return False
         if not times_out(0):
             return False
-        for pid, reader in helpers:
-            byte = reader.read(1)
-            if not byte:
-                raise ChildProcessError(f"P10 sweep helper {pid} exited without its result")
-            if byte != b"1":
-                return False
-        return True
+        return all(reader.read(1) == b"1" for _, reader in helpers)
     finally:
         _reap_children(helpers)
 
@@ -910,43 +911,46 @@ def _render_inputs(inputs: dict[str, object]) -> dict[str, object]:
     return {k: _render_value(v) for k, v in inputs.items()}
 
 
-def _run_share(
+def _scan_share(
     property_id: str, cfg: GenConfig, cases: int, first: int, step: int, memo: _CaseMemo, sweep: int
-) -> tuple[int, list[Failure], Optional[tuple[int, Exception]]]:
+) -> tuple[int, list[int]]:
     """Cases first, first + step, ... below `cases` of one campaign, with
     P10's sweeps on `sweep` processes.
 
-    Returns (skipped, failures, error): error is None, or (k, e) when
-    case k raised e, where the share stops as a lone campaign would.
+    Returns (skipped, flagged): flagged lists the cases that failed, then
+    the first that raised, where the share stops as a lone campaign would.
     """
     skipped = 0
-    failures: list[Failure] = []
-    k = first
-    try:
-        for k in range(first, cases, step):
-            rng = case_stream(cfg.seed, k)
-            inputs, check = _gen_case(property_id, rng, memo, sweep)
+    flagged: list[int] = []
+    for k in range(first, cases, step):
+        try:
+            inputs, check = _gen_case(property_id, case_stream(cfg.seed, k), memo, sweep)
             outcome = check(inputs)
-            if outcome is None:
-                continue
-            if outcome is SKIPPED:
-                skipped += 1
-                continue
-            expected, actual = outcome
-            shrunk = _shrink(inputs, check)
-            failures.append(
-                Failure(
-                    case_index=k,
-                    seed=cfg.seed,
-                    inputs=_render_inputs(inputs),
-                    expected=expected,
-                    actual=actual,
-                    shrunk=_render_inputs(shrunk) if shrunk != inputs else None,
-                )
-            )
-    except Exception as e:  # raised again by the parent, after the earlier cases
-        return skipped, failures, (k, e)
-    return skipped, failures, None
+        except Exception:  # raised again by _failure, after the earlier cases
+            flagged.append(k)
+            break
+        if outcome is SKIPPED:
+            skipped += 1
+        elif outcome is not None:
+            flagged.append(k)
+    return skipped, flagged
+
+
+def _failure(property_id: str, cfg: GenConfig, k: int, sweep: int) -> Failure:
+    """The failure of case k, which a scan flagged, checked again in this
+    process and shrunk.  A checker is a pure function of its inputs, so
+    the case fails again, or raises the error it raised in the scan."""
+    inputs, check = _gen_case(property_id, case_stream(cfg.seed, k), sweep=sweep)
+    expected, actual = check(inputs)
+    shrunk = _shrink(inputs, check)
+    return Failure(
+        case_index=k,
+        seed=cfg.seed,
+        inputs=_render_inputs(inputs),
+        expected=expected,
+        actual=actual,
+        shrunk=_render_inputs(shrunk) if shrunk != inputs else None,
+    )
 
 
 def _cpus() -> int:
@@ -1019,11 +1023,11 @@ class Campaigns:
     Case k of every campaign runs on worker k mod W, W being the CPUs
     this process may run on (``_cpus``), at most `cases` and at least 1.
     Worker 0 is this process and runs its cases inside ``run_property``.
-    Entering forks the other W - 1 once (``_fork_child``); each runs its
-    cases of every campaign in order, ahead of the parent, and writes
-    its share of each report down a pipe.  Every worker keeps one memo,
-    so it draws each of its shared triples once.  Leaving kills any
-    worker still running and reaps every one.
+    Entering forks the other W - 1 once (``_fork_child``); each checks
+    its cases of every campaign in order, ahead of the parent, and sends
+    only counts down a pipe (see the module docstring).  Every worker
+    keeps one memo, so it draws each of its shared triples once.
+    Leaving kills any worker still running and reaps every one.
 
     `sweep` is cpus // W: the processes that P10's fuel sweep of a
     step-limited case runs on in this process, 1 when the workers hold
@@ -1062,46 +1066,35 @@ class Campaigns:
         self.close()
 
     def _fork(self, index: int) -> tuple[int, BinaryIO]:
-        """Forks worker `index`, which pickles its share of each campaign down its pipe."""
-        import pickle  # only a check with workers sends results
+        """Forks worker `index`, which scans its share of each campaign and
+        writes one line per campaign down its pipe: "skipped k1 k2 ..."."""
 
-        def run_shares(out: BinaryIO) -> None:
+        def scan_shares(out: BinaryIO) -> None:
             for property_id in self.property_ids:
-                share = _run_share(property_id, self.cfg, self.cases, index, self.workers, self.memo, 1)
-                try:
-                    data = pickle.dumps(share)
-                except Exception:  # an exception that does not pickle goes as its text
-                    k, e = share[2]
-                    data = pickle.dumps((*share[:2], (k, RuntimeError(f"{type(e).__name__}: {e}"))))
-                out.write(data)
+                skipped, flagged = _scan_share(property_id, self.cfg, self.cases, index, self.workers, self.memo, 1)
+                out.write(" ".join(map(str, (skipped, *flagged))).encode() + b"\n")
                 out.flush()
-                if share[2] is not None:
-                    break
 
-        return _fork_child(run_shares)
+        return _fork_child(scan_shares)
 
     def _run(self, property_id: str, cfg: GenConfig, cases: int) -> tuple[int, list[Failure]]:
-        """The next campaign: this process's cases, merged with every
-        worker's.  Returns (skipped, failures in case order), or raises
-        what the first case that raised raised."""
+        """The next campaign: this process's share and every worker's line.
+        Returns (skipped, failures in case order), or raises what the first
+        case that raised raised; both come from this process."""
         planned = self.property_ids[self._done : self._done + 1]
         if (property_id, cfg, cases) != (planned[0] if planned else None, self.cfg, self.cases):
             raise ValueError(f"campaign {property_id!r} at {cfg!r}, {cases} cases, is not the next one planned")
         self._done += 1
-        shares = [_run_share(property_id, cfg, cases, 0, self.workers, self.memo, self.sweep)]
-        if self._children:
-            import pickle
-
-            for pid, reader in self._children:
-                try:
-                    shares.append(pickle.load(reader))
-                except (EOFError, pickle.UnpicklingError):  # a report cut short
-                    raise ChildProcessError(f"check worker {pid} exited without its report") from None
-        errors = [error for _, _, error in shares if error is not None]
-        if errors:
-            raise min(errors, key=lambda error: error[0])[1]
-        failures = sorted((f for _, share, _ in shares for f in share), key=lambda f: f.case_index)
-        return sum(skipped for skipped, _, _ in shares), failures
+        skipped, flagged = _scan_share(property_id, cfg, cases, 0, self.workers, self.memo, self.sweep)
+        for index, (_, reader) in enumerate(self._children, 1):
+            line = reader.readline()
+            if line.endswith(b"\n"):
+                share_skipped, *share_flagged = map(int, line.split())
+            else:  # the worker is lost; its pipe stays at EOF, so its later shares run here too
+                share_skipped, share_flagged = _scan_share(property_id, cfg, cases, index, self.workers, self.memo, self.sweep)
+            skipped += share_skipped
+            flagged += share_flagged
+        return skipped, [_failure(property_id, cfg, k, self.sweep) for k in sorted(flagged)]
 
     def close(self) -> None:
         """Kills the workers still running and reaps every one."""

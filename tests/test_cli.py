@@ -57,6 +57,18 @@ def test_a_one_process_check_loads_neither_pickle_nor_signal():
     assert (p.returncode, p.stdout.splitlines()[-1], p.stderr) == (0, "0 False False", "")
 
 
+def test_a_check_with_workers_loads_no_pickle():
+    # Workers send counts and case indices as text; signal shows they ran.
+    code = (
+        "import os, sys; sys.path.insert(0, sys.argv[1]); import clockwork.cli; "
+        "os.sched_getaffinity = lambda pid: {0, 1}; "
+        "code = clockwork.cli.main(['check', 'P1', 'P2', '--cases', '40']); "
+        "print(code, 'pickle' in sys.modules, 'signal' in sys.modules)"
+    )
+    p = subprocess.run([sys.executable, "-S", "-c", code, CLI_ENV["PYTHONPATH"]], capture_output=True, text=True)
+    assert (p.returncode, p.stdout.splitlines()[-1], p.stderr) == (0, "0 False True", "")
+
+
 def test_package_import_loads_no_submodule():
     # The package root re-exports nothing: callers import the defining module.
     code = (
@@ -807,14 +819,28 @@ def test_passing_failing_and_raising_checks_leave_no_process(monkeypatch, capsys
     assert raising == _check_outputs(argv, capsys, monkeypatch, 1)
 
 
+def _reports(property_ids, cfg, cases) -> list:
+    """The reports of one `Campaigns` over `property_ids`, without elapsed_ms."""
+    with testkit.Campaigns(property_ids, cfg, cases) as campaigns:
+        reports = [testkit.run_property(pid, cfg, cases, campaigns).to_json_dict() for pid in property_ids]
+    return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in reports]
+
+
 def test_an_interrupted_or_lost_worker_leaves_no_process(monkeypatch):
     _use_cpus(monkeypatch, 2)
     parent = os.getpid()
-    _raise_on_cases(monkeypatch, "P3", 9, {2: KeyboardInterrupt})
-    with pytest.raises(KeyboardInterrupt):
-        testkit.run_property("P3", GenConfig(seed=9), 12)
+    with monkeypatch.context() as m:
+        _raise_on_cases(m, "P3", 9, {2: KeyboardInterrupt})
+        with pytest.raises(KeyboardInterrupt):
+            testkit.run_property("P3", GenConfig(seed=9), 12)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # A worker lost in the first campaign: its shares of both run here.
+    _break_cval(monkeypatch)
+    cfg = GenConfig(seed=9)
+    _use_cpus(monkeypatch, 1)
+    alone = _reports(("P2", "P3"), cfg, 12)
+    assert any(r["failures"] for r in alone)
     real = testkit.cval
 
     def cval(c, s, t):
@@ -823,8 +849,8 @@ def test_an_interrupted_or_lost_worker_leaves_no_process(monkeypatch):
         return real(c, s, t)
 
     monkeypatch.setattr(testkit, "cval", cval)
-    with pytest.raises(ChildProcessError, match="exited without its report"):
-        testkit.run_property("P2", GenConfig(seed=9), 12)
+    _use_cpus(monkeypatch, 2)
+    assert _reports(("P2", "P3"), cfg, 12) == alone
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -846,16 +872,19 @@ def test_a_check_that_cannot_fork_runs_in_process(monkeypatch, capsys):
     assert len(forks) == 1
 
 
-def test_a_worker_error_that_does_not_pickle_arrives_as_its_text(monkeypatch):
+def test_a_worker_error_arrives_as_itself(monkeypatch):
     class Unpicklable(Exception):  # a local class pickles by a name no module has
         pass
 
-    _use_cpus(monkeypatch, 2)
-    _raise_on_cases(monkeypatch, "P3", 9, {3: Unpicklable("on case 3")})
-    with pytest.raises(RuntimeError, match=r"^Unpicklable: on case 3$"):
-        testkit.run_property("P3", GenConfig(seed=9), 12)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    error = Unpicklable("on case 3")  # case 3 is the worker's on two CPUs
+    _raise_on_cases(monkeypatch, "P3", 9, {3: error})
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        with pytest.raises(Unpicklable) as raised:
+            testkit.run_property("P3", GenConfig(seed=9), 12)
+        assert raised.value is error
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # Campaign seeds whose case 0 is oracle step-limited: the first three of
@@ -973,7 +1002,6 @@ def test_sweeps_run_each_fuel_and_semantics_once(monkeypatch, capsys, tmp_path, 
 
 
 def test_a_lost_or_interrupted_sweep_helper_leaves_no_process(monkeypatch):
-    _use_cpus(monkeypatch, 2)
     parent = os.getpid()
     cfg = GenConfig(seed=_STEP_LIMITED_SEEDS[0])
     real = testkit.SEMANTICS["ev"]
@@ -988,13 +1016,20 @@ def test_a_lost_or_interrupted_sweep_helper_leaves_no_process(monkeypatch):
             raise KeyboardInterrupt
         return real(c, s, t)
 
-    for ev, error, match in ((lost, ChildProcessError, "exited without its result"), (interrupted, KeyboardInterrupt, None)):
-        with monkeypatch.context() as m:
-            m.setitem(testkit.SEMANTICS, "ev", ev)
-            with pytest.raises(error, match=match):
-                testkit.run_property("P10", cfg, 1)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    _use_cpus(monkeypatch, 1)
+    serial = _reports(("P10",), cfg, 1)
+    _use_cpus(monkeypatch, 2)
+    with monkeypatch.context() as m:
+        m.setitem(testkit.SEMANTICS, "ev", lost)
+        assert _reports(("P10",), cfg, 1) == serial  # the lost helper's fuels swept here
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with monkeypatch.context() as m:
+        m.setitem(testkit.SEMANTICS, "ev", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            testkit.run_property("P10", cfg, 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_sweep_that_cannot_fork_runs_in_process(monkeypatch, capsys):
