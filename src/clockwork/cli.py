@@ -18,8 +18,8 @@ process (reported in one line, never as a traceback).
 first 1,024 steps (``_ORACLE_FIRST_LEG``) run in process, so a short
 program forks nothing.  A run still going forks one helper, which runs
 the oracle to ``--cap`` while this process runs the evaluator, and sends
-back only its step count.  On one CPU (``taskset -c 0`` gives one
-process), or when the fork or the helper fails, the oracle runs in
+back only its step count.  On one CPU (``taskset -c 0``), or when the
+fork or the helper fails (see ``testkit._Forks``), the oracle runs in
 process after the evaluator; the report is the same either way.
 """
 
@@ -44,9 +44,7 @@ from .testkit import (
     SEMANTICS,
     Campaigns,
     GenConfig,
-    _cpus,
-    _fork_child,
-    _reap_children,
+    _Forks,
     fuel_search,
     run_property,
 )
@@ -196,17 +194,17 @@ def _oracle_helper(out: BinaryIO, com: Com, store: Store, cap: int) -> None:
     out.write(b"L" if isinstance(outcome, StepLimit) else str(outcome.steps).encode())
 
 
-def _start_oracle(com: Com, store: Store, cap: int, helpers: list[tuple[int, BinaryIO]]) -> Callable[[], Optional[int]]:
+def _start_oracle(com: Com, store: Store, cap: int, forks: _Forks) -> Callable[[], Optional[int]]:
     """Starts the oracle run of `run --oracle`; returns the function that
     gives its steps, None if step-limited, once the evaluator has run.
 
     The oracle first runs here up to ``_ORACLE_FIRST_LEG`` steps, which
     settles most runs.  A run still going then goes on to `cap` in one
-    forked helper, added to `helpers`, where the process may use more
-    than one CPU.  On anything but the helper's well-formed answer (a
-    failed fork, a helper that dies or raises), or on one CPU, the oracle
-    runs here after the evaluator, as if alone; so does an oracle that
-    raised in its first leg, so that the evaluator's error comes first.
+    helper started from `forks`.  On anything but the helper's
+    well-formed answer (a failed fork, a helper that dies or raises, or
+    one CPU; see ``_Forks``), the oracle runs here after the evaluator,
+    as if alone; so does an oracle that raised in its first leg, so that
+    the evaluator's error comes first.
     """
 
     def serial() -> Optional[int]:
@@ -218,13 +216,7 @@ def _start_oracle(com: Com, store: Store, cap: int, helpers: list[tuple[int, Bin
         return serial
     if isinstance(outcome, Terminated) or cap <= _ORACLE_FIRST_LEG:
         return lambda: _oracle_steps(outcome)
-    if _cpus() < 2:
-        return serial
-    try:
-        helpers.append(_fork_child(lambda out: _oracle_helper(out, com, store, cap)))
-    except OSError:  # no process to be had
-        return serial
-    reader = helpers[-1][1]
+    reader = forks.start(lambda out: _oracle_helper(out, com, store, cap))
 
     def answer() -> Optional[int]:
         data = reader.read()
@@ -243,9 +235,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.cap < 1:
         _usage("clockwork: --cap must be positive")
     report: dict[str, object] = {"semantics": args.sem, "fuel_in": f"search:{fuel}" if search else fuel}
-    helpers: list[tuple[int, BinaryIO]] = []
-    try:
-        oracle_steps = _start_oracle(com, store, args.cap, helpers) if args.oracle else None
+    with _Forks() as forks:
+        oracle_steps = _start_oracle(com, store, args.cap, forks) if args.oracle else None
         result = None
         if search:
             found = fuel_search(sem_key, com, store, fuel)
@@ -270,8 +261,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         if oracle_steps is not None:
             report["oracle_steps"] = oracle_steps()
-    finally:
-        _reap_children(helpers)
 
     _emit(report)
     return EXIT_OK if result is not None else EXIT_TIMEOUT

@@ -21,13 +21,12 @@ semantics, runs on cpus // W processes: the calling process and helpers
 it forks for that sweep alone, process j running fuels j, j + n, ...
 A forked worker sweeps serially, and a terminating case forks nothing.
 
-A forked process sends only counts and case indices, never a result or
-an exception; the calling process does anything else itself, and runs
-a lost worker's share or a lost helper's sweep.  A worker names the
-cases that failed or raised, which the calling process checks and
-shrinks again; a helper says whether all its runs timed out, and on
-anything else the sweep runs again serially.  So every report and
-error is the one a single process gives.
+Every fork goes through ``_Forks``, whose rule says what a child may
+send and what a short answer means.  A worker names the cases that
+failed or raised, which the calling process checks and shrinks again;
+a helper says whether all its runs timed out, and on anything else the
+sweep runs again serially.  So every report and error is the one a
+single process gives.
 
 Each worker keeps one memo for the whole check, so it draws once the
 (program, store, fuel) triple that P1, P2, P3, P6, P7 and P8 start each
@@ -65,6 +64,7 @@ The eleven property ids:
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import time
@@ -676,12 +676,12 @@ def _p10_sweep(c: Com, s: Store, first: int = 0, step: int = 1) -> Optional[tupl
 
 def _split_sweep_times_out(c: Com, s: Store, n: int) -> bool:
     """Whether every run of P10's sweep times out, the sweep split over
-    this process and n - 1 forked helpers: process j runs fuels j, j + n, ...
+    this process and n - 1 helpers (see ``_Forks``): process j runs fuels
+    j, j + n, ...
 
     A helper sends one byte, whether all its runs timed out.  False says
-    only that something else happened somewhere (a result, an exception,
-    a failed fork or a lost helper); which one is for the serial sweep
-    to find.
+    only that something else happened somewhere; which one is for the
+    serial sweep to find.
     """
 
     def times_out(first: int) -> bool:
@@ -690,18 +690,9 @@ def _split_sweep_times_out(c: Com, s: Store, n: int) -> bool:
         except Exception:  # the serial sweep raises it, or what comes before it
             return False
 
-    helpers: list[tuple[int, BinaryIO]] = []
-    try:
-        try:
-            for j in range(1, n):
-                helpers.append(_fork_child(lambda out, j=j: out.write(b"1" if times_out(j) else b"0")))
-        except OSError:  # no process to be had
-            return False
-        if not times_out(0):
-            return False
-        return all(reader.read(1) == b"1" for _, reader in helpers)
-    finally:
-        _reap_children(helpers)
+    with _Forks() as forks:
+        readers = [forks.start(lambda out, j=j: out.write(b"1" if times_out(j) else b"0")) for j in range(1, n)]
+        return times_out(0) and all(reader.read(1) == b"1" for reader in readers)
 
 
 def _check_p10(inp: dict[str, object], sweep: int = 1) -> _CheckOutcome:
@@ -711,9 +702,8 @@ def _check_p10(inp: dict[str, object], sweep: int = 1) -> _CheckOutcome:
     The sweep runs on `sweep` processes (see ``Campaigns.sweep``) and
     forks only for a step-limited case.  Split, it only tells whether
     every run timed out; on anything else the sweep runs again here,
-    serially, so that a failure, its message and shrunk input, or the
-    exception raised are exactly those of the serial sweep, and no
-    result or exception crosses a pipe.
+    serially (see ``_Forks``), so that a failure, its message and shrunk
+    input, or the exception raised are exactly those of the serial sweep.
     """
     c, s = inp["program"], inp["store"]
     outcome = run_oracle(c, s, ORACLE_CAP)
@@ -969,65 +959,85 @@ def _cpus() -> int:
     return cpus
 
 
-def _fork_child(body: Callable[[BinaryIO], object]) -> tuple[int, BinaryIO]:
-    """Forks a child that runs ``body(out)``; returns the child's pid and
-    the read end of the pipe `out` writes to.
+class _Forks:
+    """The child processes of one fork site, and the one rule they share.
+
+    ``start(body)`` forks a child that runs ``body(out)`` and returns the
+    read end of the pipe `out` writes to.  A child sends only counts and
+    case indices, never a result or an exception, and the caller does
+    anything else itself: a short or empty read (a child that raised, was
+    lost, or was never forked) means that the child's work runs in the
+    calling process.  Where no process is to be had (one CPU, a second
+    thread, or a pipe or fork that fails with OSError), ``start`` forks
+    nothing and returns an empty reader, which reads as a lost child.
 
     Forking keeps the process as it is (its imports, and any evaluator a
     test replaced), so a child starts at once.  The child ignores SIGINT,
-    since its parent stops it (``_reap_children``), never prints, and
-    leaves with ``os._exit`` however `body` ends.  A fork that fails
-    raises OSError and leaves no pipe open.
+    since its parent stops it, never prints, and leaves with ``os._exit``
+    however `body` ends.  Leaving the ``with`` block kills every child
+    still running and reaps each one.
     """
-    import signal
 
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            os.close(r)
-            with open(w, "wb") as out:
-                body(out)
-        finally:
-            os._exit(0)
-    os.close(w)
-    return pid, open(r, "rb")
+    def __init__(self) -> None:
+        self._children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe's read end)
 
+    def __enter__(self) -> "_Forks":
+        return self
 
-def _reap_children(children: list[tuple[int, BinaryIO]]) -> None:
-    """Kills the (pid, read end) children still running and reaps every
-    one, emptying `children`."""
-    if children:
+    def __exit__(self, *exc_info: object) -> None:
+        if self._children:
+            import signal
+
+            while self._children:
+                pid, reader = self._children.pop()
+                reader.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):  # reaped already
+                    pass
+
+    def start(self, body: Callable[[BinaryIO], object]) -> BinaryIO:
+        """Forks a child that runs ``body(out)``; returns what it writes to `out`."""
+        if _cpus() < 2:
+            return io.BytesIO()
         import signal
 
-        while children:
-            pid, reader = children.pop()
-            reader.close()
+        try:
+            r, w = os.pipe()
             try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):  # reaped already
-                pass
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+        except OSError:  # no process to be had
+            return io.BytesIO()
+        if pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(r)
+                with open(w, "wb") as out:
+                    body(out)
+            finally:
+                os._exit(0)
+        os.close(w)
+        reader = open(r, "rb")
+        self._children.append((pid, reader))
+        return reader
 
 
-class Campaigns:
+class Campaigns(_Forks):
     """The worker processes and case memos of one `check`: the campaigns
     of `property_ids`, in that order, `cases` cases each at `cfg`.
 
     Case k of every campaign runs on worker k mod W, W being the CPUs
     this process may run on (``_cpus``), at most `cases` and at least 1.
     Worker 0 is this process and runs its cases inside ``run_property``.
-    Entering forks the other W - 1 once (``_fork_child``); each checks
-    its cases of every campaign in order, ahead of the parent, and sends
-    only counts down a pipe (see the module docstring).  Every worker
-    keeps one memo, so it draws each of its shared triples once.
-    Leaving kills any worker still running and reaps every one.
+    Entering starts the other W - 1 once; each checks its cases of every
+    campaign in order, ahead of the parent, and sends one line per
+    campaign down its pipe (see ``_Forks``).  Every worker keeps one
+    memo, so it draws each of its shared triples once.
 
     `sweep` is cpus // W: the processes that P10's fuel sweep of a
     step-limited case runs on in this process, 1 when the workers hold
@@ -1040,6 +1050,7 @@ class Campaigns:
             if pid not in PROPERTY_IDS:
                 raise ValueError(f"unknown property id: {pid!r}")
         _check_int(cases, "cases", 0)
+        super().__init__()
         self.property_ids = tuple(property_ids)
         self.cfg = cfg
         self.cases = cases
@@ -1048,34 +1059,24 @@ class Campaigns:
         self.sweep = cpus // self.workers
         self.memo: _CaseMemo = {}  # worker 0's; each forked worker fills its own copy
         self._done = 0  # campaigns run so far
-        self._children: list[tuple[int, BinaryIO]] = []  # (pid, its pipe's read end)
+        self._readers: list[BinaryIO] = []  # worker index - 1 -> its pipe's read end
 
     def __enter__(self) -> "Campaigns":
         try:
             for index in range(1, self.workers):
-                self._children.append(self._fork(index))
-        except OSError:  # no process to be had: every case and sweep runs here
-            self.close()
-            self.workers = self.sweep = 1
+                self._readers.append(self.start(lambda out, index=index: self._scan_shares(out, index)))
         except BaseException:
-            self.close()
+            self.__exit__()
             raise
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _fork(self, index: int) -> tuple[int, BinaryIO]:
-        """Forks worker `index`, which scans its share of each campaign and
-        writes one line per campaign down its pipe: "skipped k1 k2 ..."."""
-
-        def scan_shares(out: BinaryIO) -> None:
-            for property_id in self.property_ids:
-                skipped, flagged = _scan_share(property_id, self.cfg, self.cases, index, self.workers, self.memo, 1)
-                out.write(" ".join(map(str, (skipped, *flagged))).encode() + b"\n")
-                out.flush()
-
-        return _fork_child(scan_shares)
+    def _scan_shares(self, out: BinaryIO, index: int) -> None:
+        """Worker `index`: scans its share of each campaign and writes one
+        line per campaign to `out`: "skipped k1 k2 ..."."""
+        for property_id in self.property_ids:
+            skipped, flagged = _scan_share(property_id, self.cfg, self.cases, index, self.workers, self.memo, 1)
+            out.write(" ".join(map(str, (skipped, *flagged))).encode() + b"\n")
+            out.flush()
 
     def _run(self, property_id: str, cfg: GenConfig, cases: int) -> tuple[int, list[Failure]]:
         """The next campaign: this process's share and every worker's line.
@@ -1086,19 +1087,15 @@ class Campaigns:
             raise ValueError(f"campaign {property_id!r} at {cfg!r}, {cases} cases, is not the next one planned")
         self._done += 1
         skipped, flagged = _scan_share(property_id, cfg, cases, 0, self.workers, self.memo, self.sweep)
-        for index, (_, reader) in enumerate(self._children, 1):
+        for index, reader in enumerate(self._readers, 1):
             line = reader.readline()
             if line.endswith(b"\n"):
                 share_skipped, *share_flagged = map(int, line.split())
-            else:  # the worker is lost; its pipe stays at EOF, so its later shares run here too
+            else:  # the worker is lost or never forked; its reader stays at EOF, so its later shares run here too
                 share_skipped, share_flagged = _scan_share(property_id, cfg, cases, index, self.workers, self.memo, self.sweep)
             skipped += share_skipped
             flagged += share_flagged
         return skipped, [_failure(property_id, cfg, k, self.sweep) for k in sorted(flagged)]
-
-    def close(self) -> None:
-        """Kills the workers still running and reaps every one."""
-        _reap_children(self._children)
 
 
 def run_property(

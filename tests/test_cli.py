@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run through subprocesses (in-process where a handler
 is patched or a test makes a thousand calls)."""
 
+import errno
 import json
 import os
 import re
@@ -855,21 +856,39 @@ def test_an_interrupted_or_lost_worker_leaves_no_process(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_check_that_cannot_fork_runs_in_process(monkeypatch, capsys):
+def _fail_call(monkeypatch, name: str, which: int) -> list:
+    """Makes call `which` (0 the first) of os.fork or os.pipe, as `name`
+    says, raise in this process as on a host with no process or file to
+    spare; returns the pids that os.fork returns in this process."""
+    forks = _count_forks(monkeypatch)
+    real = getattr(os, name)
+    calls = []
+
+    def call():
+        calls.append(name)
+        if len(calls) == which + 1:
+            if name == "fork":
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real()
+
+    monkeypatch.setattr(os, name, call)
+    return forks
+
+
+# On three CPUs two children are forked; one of them cannot be.
+_FAILED_CALLS = pytest.mark.parametrize(
+    "name, which", [("fork", 1), ("fork", 0), ("pipe", 0)], ids=["second-fork", "first-fork", "first-pipe"]
+)
+
+
+@_FAILED_CALLS
+def test_a_check_that_cannot_fork_runs_in_process(monkeypatch, capsys, name, which):
     argv = ["P1", "P5", "--seed", "12", "--cases", "40"]
     alone = _check_outputs(argv, capsys, monkeypatch, 1)
-    real_fork = os.fork
-    forks = []
-
-    def fork():  # the second fork finds no process to be had
-        if forks:
-            raise BlockingIOError("fork: Resource temporarily unavailable")
-        forks.append(real_fork())
-        return forks[-1]
-
-    monkeypatch.setattr(os, "fork", fork)
+    forks = _fail_call(monkeypatch, name, which)
     assert _check_outputs(argv, capsys, monkeypatch, 3) == alone
-    assert len(forks) == 1
+    assert len(forks) == 1  # the other worker still runs its share
 
 
 def test_a_worker_error_arrives_as_itself(monkeypatch):
@@ -1032,19 +1051,11 @@ def test_a_lost_or_interrupted_sweep_helper_leaves_no_process(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_sweep_that_cannot_fork_runs_in_process(monkeypatch, capsys):
+@_FAILED_CALLS
+def test_a_sweep_that_cannot_fork_runs_in_process(monkeypatch, capsys, name, which):
     argv = ["P9", "P10", "--seed", str(_STEP_LIMITED_SEEDS[1]), "--cases", "1"]
     alone = _check_outputs(argv, capsys, monkeypatch, 1)
-    real_fork = os.fork
-    forks = []
-
-    def fork():  # the second helper finds no process to be had
-        if forks:
-            raise BlockingIOError("fork: Resource temporarily unavailable")
-        forks.append(real_fork())
-        return forks[-1]
-
-    monkeypatch.setattr(os, "fork", fork)
+    forks = _fail_call(monkeypatch, name, which)
     assert _check_outputs(argv, capsys, monkeypatch, 3) == alone
     assert len(forks) == 1
 
@@ -1162,21 +1173,17 @@ def _raise_in_helper():
     raise RuntimeError("oracle failed in the helper")
 
 
-def _no_process():
-    raise BlockingIOError("fork: Resource temporarily unavailable")
-
-
 @pytest.mark.parametrize(
-    "in_helper, fork_error",
-    [(_no_answer, None), (_raise_in_helper, None), (None, _no_process)],
-    ids=["exits-without-answer", "oracle-raises", "cannot-fork"],
+    "in_helper, failed_call",
+    [(_no_answer, None), (_raise_in_helper, None), (None, "fork"), (None, "pipe")],
+    ids=["exits-without-answer", "oracle-raises", "cannot-fork", "cannot-pipe"],
 )
-def test_a_run_whose_helper_fails_runs_the_oracle_in_process(monkeypatch, capsys, count_imp, in_helper, fork_error):
+def test_a_run_whose_helper_fails_runs_the_oracle_in_process(monkeypatch, capsys, count_imp, in_helper, failed_call):
     argv = [count_imp, "--sem", "cval", "--fuel", "100000", *ORACLE]
     alone = _run_outputs(argv, capsys, monkeypatch, 1)
     caps = _record_oracle_caps(monkeypatch, os.getpid(), in_helper)
-    if fork_error is not None:
-        monkeypatch.setattr(os, "fork", fork_error)
+    if failed_call is not None:
+        _fail_call(monkeypatch, failed_call, 0)
     assert _run_outputs(argv, capsys, monkeypatch, 2) == alone
     assert caps == [cli._ORACLE_FIRST_LEG, 100000]  # the first leg, then the whole run here
 

@@ -1,7 +1,8 @@
 """Import hygiene: every name a `clockwork` module, a test or a script
-imports is used there.
+imports is used there.  Beside it, the one fork site: only the methods
+of `testkit._Forks` make or stop a process.
 
-The check reads each file's source with `ast`: an imported name counts
+The checks read each file's source with `ast`: an imported name counts
 as used when it is loaded as a plain name anywhere in the file.
 """
 
@@ -40,3 +41,42 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", sorted(FILES))
 def test_every_imported_name_is_used(module):
     assert _unused_imports(FILES[module].read_text(encoding="utf-8")) == UNUSED.get(module, [])
+
+
+_PROCESS_CALLS = {"fork", "pipe", "kill", "waitpid", "_exit"}
+
+
+def _process_calls(source: str) -> list[tuple[tuple[str, ...], str]]:
+    """Each call of os.fork, os.pipe, os.kill, os.waitpid or os._exit in
+    `source`: (the names of the classes and functions around it, its name)."""
+    calls = []
+
+    def walk(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "os" and f.attr in _PROCESS_CALLS:
+                    calls.append((scope, f.attr))
+            walk(child, scope)
+
+    walk(ast.parse(source), ())
+    return calls
+
+
+def test_the_check_finds_a_process_call():
+    source = "import os\nclass A:\n    def f(self):\n        g = lambda: os.fork()\nos._exit(os.getpid())\n"
+    assert _process_calls(source) == [(("A", "f"), "fork"), ((), "_exit")]
+
+
+def test_only_the_methods_of_testkit_forks_make_or_stop_a_process():
+    calls = [
+        (module, scope, name)
+        for module, path in FILES.items()
+        if "/" not in module  # the package's own modules
+        for scope, name in _process_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert {name for _, _, name in calls} == _PROCESS_CALLS  # the walk still sees each one
+    assert [call for call in calls if call[0] != "testkit" or len(call[1]) < 2 or call[1][0] != "_Forks"] == []
