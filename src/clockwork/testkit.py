@@ -30,11 +30,15 @@ single process gives.
 
 Each worker keeps one memo for the whole check, so it draws once the
 (program, store, fuel) triple that P1, P2, P3, P6, P7 and P8 start each
-of its cases with.  The memo is keyed by the stream position the triple
-is drawn from, and a stream at the same position yields the same triple.
-It holds the worker's first ``_MEMO_CASES`` triples and goes with the
-``check``; later cases are drawn per property, as a lone campaign draws
-them.  Only inputs are shared: every property runs its evaluators itself.
+of its cases with, whose program P4, P5, P9, P10 and RT start with too,
+and whose program and store P9 and P10 run the oracle on.  The memo is
+keyed by the stream position the triple is drawn from, and a stream at
+the same position yields the same triple.  Beside the triple, an entry
+holds the oracle's outcome on its program and store, run once by
+whichever of P9 and P10 asks first.  The memo holds the worker's first
+``_MEMO_CASES`` entries and goes with the ``check``; later cases are
+drawn per property, as a lone campaign draws them.  Only inputs and the
+oracle's outcome are shared: every property runs every evaluator itself.
 
 Generated programs share their leaves: every N and V node comes from
 one module-level table, indexed by the same draws that would have built
@@ -96,7 +100,8 @@ from .imp import (
     size,
 )
 from .parser import ParseError, parse_com
-# iter_trace is not called here; perfbench's tracer reads and re-points testkit.iter_trace.
+# iter_trace and run_oracle are not called here; perfbench's tracer reads
+# and re-points testkit.iter_trace and testkit.run_oracle.
 from .smallstep import StepLimit, Terminated, iter_trace, run_oracle, run_oracle_stats, trace_stores
 
 SEMANTICS: dict[str, Callable[[Com, Store, int], object]] = {
@@ -565,11 +570,11 @@ def _check_p7(inp: dict[str, object]) -> _CheckOutcome:
     return None
 
 
-def _check_p8a(inp: dict[str, object]) -> _CheckOutcome:
+def _check_p8a(inp: dict[str, object], r_cval: StateResult) -> _CheckOutcome:
     c, s, t = inp["program"], inp["store"], inp["fuel"]
     k1, k2 = inp["extra"], inp["extra2"]
     for name, fn in (("cval", cval), ("cval_tick", cval_tick)):
-        r = fn(c, s, t)
+        r = r_cval if name == "cval" else fn(c, s, t)
         if r is not None:
             s1, t1 = r
             for k in (k1, k2):
@@ -582,9 +587,8 @@ def _check_p8a(inp: dict[str, object]) -> _CheckOutcome:
     return None
 
 
-def _check_p8b(inp: dict[str, object]) -> _CheckOutcome:
+def _check_p8b(inp: dict[str, object], r: StateResult) -> _CheckOutcome:
     c, s, t = inp["program"], inp["store"], inp["fuel"]
-    r = cval(c, s, t)
     if r is not None:
         r2 = ev_min(c, s, t)
         if r2 != r[0]:
@@ -614,12 +618,10 @@ def _check_p8c(inp: dict[str, object]) -> _CheckOutcome:
 
 
 def _check_p8(inp: dict[str, object]) -> _CheckOutcome:
-    """Fuel additivity, length-dominates-depth, and cross-semantics agreement."""
-    for sub in (_check_p8a, _check_p8b, _check_p8c):
-        outcome = sub(inp)
-        if outcome is not None:
-            return outcome
-    return None
+    """Fuel additivity, length-dominates-depth, and cross-semantics agreement;
+    (a) and (b) share the run of cval at the input fuel."""
+    r_cval = cval(inp["program"], inp["store"], inp["fuel"])
+    return _check_p8a(inp, r_cval) or _check_p8b(inp, r_cval) or _check_p8c(inp)
 
 
 def p9_agreement(c: Com, s: Store, outcome: Terminated, while_steps: int) -> Optional[tuple[str, str]]:
@@ -654,9 +656,14 @@ def p9_agreement(c: Com, s: Store, outcome: Terminated, while_steps: int) -> Opt
     return None
 
 
-def _check_p9(inp: dict[str, object]) -> _CheckOutcome:
+_OracleStats = tuple[Union[Terminated, StepLimit], int]
+
+
+def _check_p9(inp: dict[str, object], stats: Optional[_OracleStats] = None) -> _CheckOutcome:
+    """P9 on one case; `stats` is ``run_oracle_stats(program, store,
+    ORACLE_CAP)`` when the caller has it already."""
     c, s = inp["program"], inp["store"]
-    outcome, while_steps = run_oracle_stats(c, s, ORACLE_CAP)
+    outcome, while_steps = run_oracle_stats(c, s, ORACLE_CAP) if stats is None else stats
     if isinstance(outcome, StepLimit):
         return None
     return p9_agreement(c, s, outcome, while_steps)
@@ -695,9 +702,11 @@ def _split_sweep_times_out(c: Com, s: Store, n: int) -> bool:
         return times_out(0) and all(reader.read(1) == b"1" for reader in readers)
 
 
-def _check_p10(inp: dict[str, object], sweep: int = 1) -> _CheckOutcome:
+def _check_p10(inp: dict[str, object], sweep: int = 1, stats: Optional[_OracleStats] = None) -> _CheckOutcome:
     """P10 on one case: a step-limited case must time out under all five
-    semantics at every fuel up to the ceiling.
+    semantics at every fuel up to the ceiling.  The oracle tells which
+    cases are step-limited; `stats`, as for ``_check_p9``, is its run
+    when the caller has it already.
 
     The sweep runs on `sweep` processes (see ``Campaigns.sweep``) and
     forks only for a step-limited case.  Split, it only tells whether
@@ -706,7 +715,7 @@ def _check_p10(inp: dict[str, object], sweep: int = 1) -> _CheckOutcome:
     input, or the exception raised are exactly those of the serial sweep.
     """
     c, s = inp["program"], inp["store"]
-    outcome = run_oracle(c, s, ORACLE_CAP)
+    outcome = (run_oracle_stats(c, s, ORACLE_CAP) if stats is None else stats)[0]
     if isinstance(outcome, Terminated):
         return None
     if sweep > 1 and _split_sweep_times_out(c, s, sweep):
@@ -726,71 +735,108 @@ def _check_rt(inp: dict[str, object]) -> _CheckOutcome:
     return None
 
 
-# Triples a worker of a `check` draws once: stream position -> (program,
-# store, fuel, outputs drawn).  At about 0.6 KB a case, a full memo is 1.3 MB.
-_CaseMemo = dict[int, tuple[Com, Store, int, int]]
+class _Case:
+    """What a fresh stream `rng` determines, drawn once: the program and
+    the outputs it took, then the store and fuel and the outputs all three
+    took.  ``oracle_stats`` runs the oracle on the program and store when
+    first asked, and keeps what it returned."""
+
+    __slots__ = ("program", "program_draws", "store", "fuel", "draws", "_stats")
+
+    def __init__(self, rng: SplitMix64) -> None:
+        self.program = _gen_com(rng, _MAX_SIZE)
+        self.program_draws = rng.drawn
+        self.store = _gen_store(rng)
+        self.fuel = _gen_fuel(rng)
+        self.draws = rng.drawn
+        self._stats: Optional[_OracleStats] = None
+
+    def oracle_stats(self) -> _OracleStats:
+        if self._stats is None:
+            self._stats = run_oracle_stats(self.program, self.store, ORACLE_CAP)
+        return self._stats
+
+
+# The cases a worker of a `check` draws once: stream position -> its _Case.
+# At about 1 KB a case with its oracle outcome, a full memo is 2 MB.
+_CaseMemo = dict[int, _Case]
 _MEMO_CASES = 2048
 
 
-def _gen_triple(rng: SplitMix64, memo: Optional[_CaseMemo] = None) -> dict[str, object]:
-    """A fresh (program, store, fuel) dict; with a memo, drawn once per
-    stream position and, when found there, `rng` moved on past it."""
-    if memo is None:
-        return {"program": _gen_com(rng, _MAX_SIZE), "store": _gen_store(rng), "fuel": _gen_fuel(rng)}
+def _memo_case(rng: SplitMix64, memo: _CaseMemo) -> _Case:
+    """The case that starts at `rng`'s position, drawn once per position;
+    `rng` itself is not moved."""
     key = rng.position()
-    entry = memo.get(key)
-    if entry is None:
-        start = rng.drawn
-        c, s, t = _gen_com(rng, _MAX_SIZE), _gen_store(rng), _gen_fuel(rng)
-        entry = (c, s, t, rng.drawn - start)
+    case = memo.get(key)
+    if case is None:
+        case = _Case(SplitMix64(key))
         if len(memo) < _MEMO_CASES:
-            memo[key] = entry
-    else:
-        rng.skip(entry[3])
-    return {"program": entry[0], "store": entry[1], "fuel": entry[2]}
+            memo[key] = case
+    return case
+
+
+def _gen_triple(rng: SplitMix64, case: Optional[_Case]) -> dict[str, object]:
+    """A fresh (program, store, fuel) dict, or `case`'s with `rng` moved on past it."""
+    if case is None:
+        return {"program": _gen_com(rng, _MAX_SIZE), "store": _gen_store(rng), "fuel": _gen_fuel(rng)}
+    rng.skip(case.draws)
+    return {"program": case.program, "store": case.store, "fuel": case.fuel}
+
+
+def _gen_program(rng: SplitMix64, case: Optional[_Case]) -> Com:
+    """A fresh program, or `case`'s with `rng` moved on past it."""
+    if case is None:
+        return _gen_com(rng, _MAX_SIZE)
+    rng.skip(case.program_draws)
+    return case.program
 
 
 def _gen_case(
     property_id: str, rng: SplitMix64, memo: Optional[_CaseMemo] = None, sweep: int = 1
 ) -> tuple[dict[str, object], _Checker]:
     """Case inputs drawn from `rng`, and their checker; P10's runs its
-    sweep on `sweep` processes."""
+    sweep on `sweep` processes.  With a memo, the inputs the memo's case
+    holds are its own objects, and P9 and P10 share its oracle run."""
+    case = None if memo is None else _memo_case(rng, memo)
     if property_id in ("P1", "P2", "P3"):
-        return _gen_triple(rng, memo), {"P1": _check_p1, "P2": _check_p2, "P3": _check_p3}[property_id]
+        return _gen_triple(rng, case), {"P1": _check_p1, "P2": _check_p2, "P3": _check_p3}[property_id]
     if property_id == "P4":
         return {
-            "first": _gen_com(rng, _MAX_SIZE),
+            "first": _gen_program(rng, case),
             "second": _gen_com(rng, _MAX_SIZE),
             "store": _gen_store(rng),
             "fuel": _gen_fuel(rng),
         }, _check_p4
     if property_id == "P5":
         return {
-            "first": _gen_com(rng, _MAX_SIZE),
+            "first": _gen_program(rng, case),
             "second": _gen_com(rng, _MAX_SIZE),
             "store": _gen_store(rng),
             "fuel": rng.randint(3, 64),
             "premise_stores": tuple(_gen_store(rng) for _ in range(_P5_EXTRA_STORES)),
         }, _check_p5
     if property_id == "P6":
-        inp = _gen_triple(rng, memo)
+        inp = _gen_triple(rng, case)
         inp["extra"] = rng.randint(0, 16)
         return inp, _check_p6
     if property_id == "P7":
-        return _gen_triple(rng, memo), _check_p7
+        return _gen_triple(rng, case), _check_p7
     if property_id == "P8":
-        inp = _gen_triple(rng, memo)
+        inp = _gen_triple(rng, case)
         inp["extra"] = rng.randint(1, 8)
         inp["extra2"] = inp["extra"] + rng.randint(1, 8)
         inp["fuels"] = (_gen_fuel(rng), _gen_fuel(rng), _gen_fuel(rng))
         return inp, _check_p8
     if property_id in ("P9", "P10"):
-        return {
-            "program": _gen_com(rng, _MAX_SIZE),
-            "store": _gen_store(rng),
-        }, _check_p9 if property_id == "P9" else lambda inp: _check_p10(inp, sweep)
+        if case is None:  # each check runs the oracle on the inputs it is given
+            inp = {"program": _gen_com(rng, _MAX_SIZE), "store": _gen_store(rng)}
+            return inp, _check_p9 if property_id == "P9" else lambda inp: _check_p10(inp, sweep)
+        inp = {"program": case.program, "store": case.store}
+        if property_id == "P9":
+            return inp, lambda inp: _check_p9(inp, case.oracle_stats())
+        return inp, lambda inp: _check_p10(inp, sweep, case.oracle_stats())
     if property_id == "RT":
-        return {"program": _gen_com(rng, _MAX_SIZE)}, _check_rt
+        return {"program": _gen_program(rng, case)}, _check_rt
     raise ValueError(f"unknown property id: {property_id!r}")
 
 
@@ -1037,7 +1083,8 @@ class Campaigns(_Forks):
     Entering starts the other W - 1 once; each checks its cases of every
     campaign in order, ahead of the parent, and sends one line per
     campaign down its pipe (see ``_Forks``).  Every worker keeps one
-    memo, so it draws each of its shared triples once.
+    memo, so it draws each of its shared triples once and runs the
+    oracle once on each of its P9 and P10 cases.
 
     `sweep` is cpus // W: the processes that P10's fuel sweep of a
     step-limited case runs on in this process, 1 when the workers hold
@@ -1108,8 +1155,9 @@ def run_property(
     failure the inputs are greedily shrunk before reporting.  The cases
     run on the processes of `campaigns`, whose next campaign this must
     be; without it, the campaign opens its own.  Campaigns run through
-    one `Campaigns` draw each shared (program, store, fuel) triple once
-    per worker.  No report depends on either.
+    one `Campaigns` draw each shared (program, store, fuel) triple, and
+    run the oracle on each P9 and P10 case, once per worker.  No report
+    depends on either.
     """
     if campaigns is None:
         with Campaigns((property_id,), cfg, cases) as campaigns:

@@ -1295,6 +1295,37 @@ def test_the_case_memo_holds_at_most_its_cap(monkeypatch, capsys):
     assert shared == _reports_alone(shared, args, capsys)
 
 
+def _count_oracle_runs(monkeypatch, log) -> None:
+    """Appends a line to `log` for each run of the oracle in testkit,
+    in any process; testkit never calls run_oracle."""
+    real = testkit.run_oracle_stats
+
+    def run_oracle_stats(c, s, cap):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return real(c, s, cap)
+
+    def run_oracle(c, s, cap):
+        raise AssertionError("testkit runs the oracle through run_oracle_stats")
+
+    monkeypatch.setattr(testkit, "run_oracle_stats", run_oracle_stats)
+    monkeypatch.setattr(testkit, "run_oracle", run_oracle)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_check_p9_p10_runs_the_oracle_once_per_case(monkeypatch, capsys, tmp_path, cpus):
+    args = ["--seed", "3", "--cases", "40"]
+    assert any(_step_limited(3, k) for k in range(40))  # P10 sweeps some case
+    _use_cpus(monkeypatch, cpus)
+    log = tmp_path / "oracle_runs"
+    _count_oracle_runs(monkeypatch, log)
+    code, shared = _check_reports(["P9", "P10", *args], capsys)
+    assert code == 0
+    runs = log.read_text().splitlines()
+    assert len(runs) == 40 and len(set(runs)) == cpus  # each worker runs its own cases'
+    assert shared == _reports_alone(shared, args, capsys)
+
+
 def test_check_seed_env_var():
     a = run_cli("check", "P4", "--cases", "5", env_extra={"CLOCKWORK_SEED": "777"})
     b = run_cli("check", "P4", "--cases", "5", "--seed", "777")

@@ -16,9 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = {path.stem: path for path in (ROOT / "src" / "clockwork").glob("*.py")}
 FILES.update({f"{path.parent.name}/{path.stem}": path for d in ("tests", "scripts") for path in (ROOT / d).glob("*.py")})
 
-# Imported but never read.  perfbench's tracer re-points testkit.iter_trace,
-# so the import stays until the tracer wraps smallstep.trace_stores instead.
-UNUSED = {"testkit": ["iter_trace"]}
+# Imported but never read.  perfbench's tracer re-points testkit.iter_trace
+# and testkit.run_oracle, so the imports stay until the tracer wraps
+# smallstep.trace_stores and counts P10's oracle runs through run_oracle_stats.
+UNUSED = {"testkit": ["iter_trace", "run_oracle"]}
 
 
 def _unused_imports(source: str) -> list[str]:

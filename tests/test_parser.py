@@ -435,3 +435,57 @@ def test_shared_leaves_keep_round_trips_equal_and_hashes_equal():
         c = gen_com(GenConfig(seed=seed), 12)
         parsed = parse_com(pretty(c))
         assert parsed == c and hash(parsed) == hash(c) and repr(parsed) == repr(c)
+
+
+def _objects(*roots):
+    """id -> node, for every node reachable from `roots`, each object once."""
+    found = {}
+    todo = list(roots)
+    while todo:
+        node = todo.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            todo.extend(v for v in (getattr(node, name) for name in node.__match_args__) if isinstance(v, _Frozen))
+    return found
+
+
+# Reads its leaves first, so every phrase after that is read in one step;
+# `z := 1` and `z < 1` have the same token texts but are different nodes.
+SHARED_PHRASES = "a := x + y + z + 1 ; " + " ; ".join(
+    [
+        "x := 1",
+        "x := y + 1",
+        "z := 1",
+        "IF x < y THEN x := 1 ELSE x := y + 1 FI",
+        "WHILE z < 1 DO z := 1 OD",
+        "IF ! x < y && z < 1 THEN x := y + 1 ELSE z := 1 FI",
+        "WHILE (x < y) DO x := 1 OD",
+    ]
+)
+
+
+def test_a_phrase_read_in_one_step_is_one_object_per_parse():
+    import reference_parser
+
+    c = parse_com(SHARED_PHRASES)
+    assert c == reference_parser.parse_com(SHARED_PHRASES)
+    objects = {}  # repr of each Set and Less -> its objects' ids
+    for key, node in _objects(c).items():
+        if type(node) in (Set, Less):
+            objects.setdefault(repr(node), set()).add(key)
+    assert {r: len(ids) for r, ids in objects.items()} == {
+        repr(Set("a", Plus(Plus(Plus(V("x"), V("y")), V("z")), N(1)))): 1,
+        repr(Set("x", N(1))): 1,
+        repr(Set("x", Plus(V("y"), N(1)))): 1,
+        repr(Set("z", N(1))): 1,
+        repr(Less(V("x"), V("y"))): 1,
+        repr(Less(V("z"), N(1))): 1,
+    }
+
+
+def test_no_node_but_skip_true_and_false_is_shared_across_parses():
+    text = SHARED_PHRASES + " ; SKIP ; WHILE true && false DO SKIP OD"
+    first, second = _objects(parse_com(text)), _objects(parse_com(text))
+    assert sorted(repr(first[key]) for key in first.keys() & second.keys()) == [
+        "Bc(value=False)", "Bc(value=True)", "Skip()"
+    ]

@@ -12,7 +12,7 @@ random token strings, and the rows where a phrase fast path ends.
 import pytest
 
 import reference_parser
-from clockwork.imp import pretty
+from clockwork.imp import Seq, pretty
 from clockwork.parser import ParseError, parse_aexp, parse_bexp, parse_com
 from clockwork.testkit import GenConfig, SplitMix64, gen_com
 
@@ -196,3 +196,32 @@ def test_parser_matches_the_recursive_reference(seed):
     assert found == []
     # Both outcomes occur often enough that the comparison means something.
     assert valid > 1500 and errors > 1500
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_valid_commands_round_trip_through_pretty(seed):
+    # The parser shares repeated phrases; printing reads each where it occurs.
+    count = 0
+    for text in differential_inputs(seed, 1000):
+        try:
+            c = parse_com(text)
+        except ParseError:
+            continue
+        printed = pretty(c)
+        assert parse_com(printed) == c == reference_parser.parse_com(printed), text
+        assert pretty(parse_com(printed)) == printed
+        count += 1
+    assert count > 500
+
+
+def test_a_balanced_seq_of_generated_programs_parses_as_the_reference_does():
+    # The shape of the benchmark's large program, scaled down: a balanced
+    # Seq of generated programs, whose phrases recur thousands of times.
+    level = [gen_com(GenConfig(seed=s), 12) for s in range(512)]
+    while len(level) > 1:
+        pairs = [Seq(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        level = pairs + level[len(level) - len(level) % 2 :]
+    text = pretty(level[0])
+    parsed = parse_com(text)
+    assert parsed == level[0] == reference_parser.parse_com(text)
+    assert pretty(parsed) == text

@@ -633,13 +633,20 @@ def test_store_shrinks_are_distinct():
 
 
 def test_a_shared_memo_gives_each_property_the_inputs_it_draws_alone():
-    # P8 and P6 draw their extras after the triple, from the skipped stream
-    memo = {}
-    for pid in ("P8", "P6", "P1", "P2", "P3", "P7", "P6", "P8"):
-        for k in range(100):
-            shared, _ = _gen_case(pid, case_stream(42, k), memo)
-            assert shared == _gen_case(pid, case_stream(42, k))[0], (pid, k)
-    assert len(memo) == 100
+    # P8 and P6 draw their extras after the triple, P4 and P5 the rest of
+    # their case after the first program, from the skipped stream; each
+    # property in turn comes first and fills the memo
+    for first in PROPERTY_IDS:
+        memo = {}
+        for pid in (first, *PROPERTY_IDS, first):
+            for k in range(40):
+                shared, _ = _gen_case(pid, case_stream(42, k), memo)
+                assert shared == _gen_case(pid, case_stream(42, k))[0], (first, pid, k)
+                case = memo[case_stream(42, k).position()]
+                assert shared["first" if pid in ("P4", "P5") else "program"] is case.program
+                if pid in ("P9", "P10"):
+                    assert shared["store"] is case.store
+        assert len(memo) == 40
 
 
 def test_failure_records_are_replayable():
