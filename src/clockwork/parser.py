@@ -41,9 +41,9 @@ leaf in them has been read before in the same parse: `x := leaf` and
 `x := leaf + leaf` not followed by '+', a bconj `leaf < leaf` not
 followed by '+', and an IF or WHILE with its guard `leaf < leaf`
 followed directly by THEN or DO.  Each phrase read in one step is
-built once per distinct run of token texts and shared for the rest of
-that parse, as the leaves are: assignments in one table, `<` guards in
-another.  No node but SKIP, true and false is shared across parses.
+built once per distinct run of token texts, operators included, and
+shared for the rest of that parse, as the leaves are.  No node but
+SKIP, true and false is shared across parses.
 
 A parse runs with the cyclic GC paused, and leaves it enabled exactly
 when it was before.  A parse builds only acyclic values: a node refers
@@ -211,10 +211,7 @@ def _read(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
     """Parse all of `text` as the phrase that `frame` collects, starting with a `want`."""
     toks = _lex(text)
     leaves: dict[str, N | V | bool] = {}  # token text -> its leaf, or False
-    # The phrases read in one step, by their token texts, which stand for
-    # their leaves.  Apart, since `z := 1` and `z < 1` have the same key.
-    sets: dict[tuple[str, ...], Set] = {}  # (name, leaf) or (name, leaf, leaf) -> its Set
-    guards: dict[tuple[str, str], Less] = {}  # (left, right) -> its Less
+    phrases: dict[tuple[str, ...], Set | Less] = {}  # the token texts of a phrase read in one step -> it
     stack = [frame]
     pos = 0
     while True:
@@ -225,16 +222,16 @@ def _read(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
             if tok[:1].isalpha() and toks[pos + 1] == ":=" and tok not in KEYWORDS:
                 leaf = leaves.get(toks[pos + 2])
                 if leaf and toks[pos + 3] != "+":
-                    key = (tok, toks[pos + 2])
-                    val = sets.get(key)
+                    key = (tok, ":=", toks[pos + 2])
+                    val = phrases.get(key)
                     if val is None:
-                        val = sets[key] = Set(tok, leaf)
+                        val = phrases[key] = Set(tok, leaf)
                     pos += 3
                 elif leaf and (right := leaves.get(toks[pos + 4])) and toks[pos + 5] != "+":
-                    key = (tok, toks[pos + 2], toks[pos + 4])
-                    val = sets.get(key)
+                    key = (tok, ":=", toks[pos + 2], "+", toks[pos + 4])
+                    val = phrases.get(key)
                     if val is None:
-                        val = sets[key] = Set(tok, Plus(leaf, right))
+                        val = phrases[key] = Set(tok, Plus(leaf, right))
                     pos += 5
                 else:
                     stack.append((_PAIR, Set, tok))
@@ -249,10 +246,10 @@ def _read(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
                 keys, build = (_IF_KEYS, If) if tok == "IF" else (_WHILE_KEYS, While)
                 left = leaves.get(toks[pos + 1])
                 if left and toks[pos + 2] == "<" and (right := leaves.get(toks[pos + 3])) and toks[pos + 4] == keys[0]:
-                    key = (toks[pos + 1], toks[pos + 3])
-                    guard = guards.get(key)
+                    key = (toks[pos + 1], "<", toks[pos + 3])
+                    guard = phrases.get(key)
                     if guard is None:
-                        guard = guards[key] = Less(left, right)
+                        guard = phrases[key] = Less(left, right)
                     stack.append((_PARTS, keys, build, [guard]))
                     stack.append((_SEQ, []))
                     pos += 5
@@ -289,10 +286,10 @@ def _read(text: str, want: int, frame: tuple | list) -> Com | Aexp | Bexp:
             elif leaf:
                 right = leaves.get(toks[pos + 2]) if toks[pos + 1] == "<" else None
                 if right and toks[pos + 3] != "+":
-                    key = (tok, toks[pos + 2])
-                    val = guards.get(key)
+                    key = (tok, "<", toks[pos + 2])
+                    val = phrases.get(key)
                     if val is None:
-                        val = guards[key] = Less(leaf, right)
+                        val = phrases[key] = Less(leaf, right)
                     pos += 3
                 else:
                     stack.append((_CMP,))

@@ -37,8 +37,9 @@ the same position yields the same triple.  Beside the triple, an entry
 holds the oracle's outcome on its program and store, run once by
 whichever of P9 and P10 asks first.  The memo holds the worker's first
 ``_MEMO_CASES`` entries and goes with the ``check``; later cases are
-drawn per property, as a lone campaign draws them.  Only inputs and the
-oracle's outcome are shared: every property runs every evaluator itself.
+drawn per property, as a lone campaign draws them, and a check of one
+campaign keeps no memo.  Only inputs and the oracle's outcome are
+shared: every property runs every evaluator itself.
 
 Generated programs share their leaves: every N and V node comes from
 one module-level table, indexed by the same draws that would have built
@@ -102,7 +103,7 @@ from .imp import (
 from .parser import ParseError, parse_com
 # iter_trace and run_oracle are not called here; perfbench's tracer reads
 # and re-points testkit.iter_trace and testkit.run_oracle.
-from .smallstep import StepLimit, Terminated, iter_trace, run_oracle, run_oracle_stats, trace_stores
+from .smallstep import OracleOutcome, StepLimit, Terminated, iter_trace, run_oracle, run_oracle_stats, trace_stores
 
 SEMANTICS: dict[str, Callable[[Com, Store, int], object]] = {
     "ev": ev,
@@ -656,10 +657,7 @@ def p9_agreement(c: Com, s: Store, outcome: Terminated, while_steps: int) -> Opt
     return None
 
 
-_OracleStats = tuple[Union[Terminated, StepLimit], int]
-
-
-def _check_p9(inp: dict[str, object], stats: Optional[_OracleStats] = None) -> _CheckOutcome:
+def _check_p9(inp: dict[str, object], stats: Optional[tuple[OracleOutcome, int]] = None) -> _CheckOutcome:
     """P9 on one case; `stats` is ``run_oracle_stats(program, store,
     ORACLE_CAP)`` when the caller has it already."""
     c, s = inp["program"], inp["store"]
@@ -702,7 +700,7 @@ def _split_sweep_times_out(c: Com, s: Store, n: int) -> bool:
         return times_out(0) and all(reader.read(1) == b"1" for reader in readers)
 
 
-def _check_p10(inp: dict[str, object], sweep: int = 1, stats: Optional[_OracleStats] = None) -> _CheckOutcome:
+def _check_p10(inp: dict[str, object], sweep: int = 1, stats: Optional[tuple[OracleOutcome, int]] = None) -> _CheckOutcome:
     """P10 on one case: a step-limited case must time out under all five
     semantics at every fuel up to the ceiling.  The oracle tells which
     cases are step-limited; `stats`, as for ``_check_p9``, is its run
@@ -749,9 +747,9 @@ class _Case:
         self.store = _gen_store(rng)
         self.fuel = _gen_fuel(rng)
         self.draws = rng.drawn
-        self._stats: Optional[_OracleStats] = None
+        self._stats: Optional[tuple[OracleOutcome, int]] = None
 
-    def oracle_stats(self) -> _OracleStats:
+    def oracle_stats(self) -> tuple[OracleOutcome, int]:
         if self._stats is None:
             self._stats = run_oracle_stats(self.program, self.store, ORACLE_CAP)
         return self._stats
@@ -948,7 +946,7 @@ def _render_inputs(inputs: dict[str, object]) -> dict[str, object]:
 
 
 def _scan_share(
-    property_id: str, cfg: GenConfig, cases: int, first: int, step: int, memo: _CaseMemo, sweep: int
+    property_id: str, cfg: GenConfig, cases: int, first: int, step: int, memo: Optional[_CaseMemo], sweep: int
 ) -> tuple[int, list[int]]:
     """Cases first, first + step, ... below `cases` of one campaign, with
     P10's sweeps on `sweep` processes.
@@ -1082,9 +1080,10 @@ class Campaigns(_Forks):
     Worker 0 is this process and runs its cases inside ``run_property``.
     Entering starts the other W - 1 once; each checks its cases of every
     campaign in order, ahead of the parent, and sends one line per
-    campaign down its pipe (see ``_Forks``).  Every worker keeps one
-    memo, so it draws each of its shared triples once and runs the
-    oracle once on each of its P9 and P10 cases.
+    campaign down its pipe (see ``_Forks``).  With two campaigns or
+    more, every worker keeps one memo, so it draws each of its shared
+    triples once and runs the oracle once on each of its P9 and P10
+    cases.
 
     `sweep` is cpus // W: the processes that P10's fuel sweep of a
     step-limited case runs on in this process, 1 when the workers hold
@@ -1104,7 +1103,9 @@ class Campaigns(_Forks):
         cpus = _cpus()
         self.workers = max(1, min(cpus, cases))
         self.sweep = cpus // self.workers
-        self.memo: _CaseMemo = {}  # worker 0's; each forked worker fills its own copy
+        # Worker 0's; each forked worker fills its own copy.  A lone
+        # campaign keeps none: no other campaign would read it back.
+        self.memo: Optional[_CaseMemo] = {} if len(self.property_ids) > 1 else None
         self._done = 0  # campaigns run so far
         self._readers: list[BinaryIO] = []  # worker index - 1 -> its pipe's read end
 

@@ -1282,7 +1282,7 @@ def test_the_case_memo_holds_at_most_its_cap(monkeypatch, capsys):
 
     def run_property(pid, cfg, cases, campaigns):
         report = real_run_property(pid, cfg, cases, campaigns)
-        sizes.append(len(campaigns.memo))
+        sizes.append(None if campaigns.memo is None else len(campaigns.memo))
         return report
 
     monkeypatch.setattr(cli, "run_property", run_property)
@@ -1293,6 +1293,7 @@ def test_the_case_memo_holds_at_most_its_cap(monkeypatch, capsys):
     assert sizes == [3] * 6
     assert len(stores) == 3 + 6 * 7  # cases past the cap are drawn per property
     assert shared == _reports_alone(shared, args, capsys)
+    assert sizes == [3] * 6 + [None] * 6  # a lone campaign keeps no memo
 
 
 def _count_oracle_runs(monkeypatch, log) -> None:

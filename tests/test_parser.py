@@ -450,7 +450,7 @@ def _objects(*roots):
 
 
 # Reads its leaves first, so every phrase after that is read in one step;
-# `z := 1` and `z < 1` have the same token texts but are different nodes.
+# `z := 1` and `z < 1` read the same leaves but are different nodes.
 SHARED_PHRASES = "a := x + y + z + 1 ; " + " ; ".join(
     [
         "x := 1",

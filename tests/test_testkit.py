@@ -639,14 +639,14 @@ def test_a_shared_memo_gives_each_property_the_inputs_it_draws_alone():
     for first in PROPERTY_IDS:
         memo = {}
         for pid in (first, *PROPERTY_IDS, first):
-            for k in range(40):
+            for k in range(100):
                 shared, _ = _gen_case(pid, case_stream(42, k), memo)
                 assert shared == _gen_case(pid, case_stream(42, k))[0], (first, pid, k)
                 case = memo[case_stream(42, k).position()]
                 assert shared["first" if pid in ("P4", "P5") else "program"] is case.program
                 if pid in ("P9", "P10"):
                     assert shared["store"] is case.store
-        assert len(memo) == 40
+        assert len(memo) == 100
 
 
 def test_failure_records_are_replayable():
